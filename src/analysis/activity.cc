@@ -1,68 +1,66 @@
 #include "src/analysis/activity.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace bsdtrace {
 
-// -- ActivityWindowSegment ----------------------------------------------------
+namespace {
 
-void ActivityWindowSegment::Touch(SimTime t, UserId user, uint64_t bytes) {
-  Interval& interval = intervals[t.micros() / length.micros()];
-  interval.active.insert(user);
-  if (bytes > 0) {
-    interval.bytes[user] += bytes;
+// Intervals [from, to) saw no event: zero active users each.
+void AddEmptyIntervals(int64_t from, int64_t to, IntervalActivity* out) {
+  for (int64_t i = from; i < to; ++i) {
+    out->active_users.Add(0.0);
+    out->intervals += 1;
   }
 }
 
-void ActivityWindowSegment::Merge(const ActivityWindowSegment& other) {
-  for (const auto& [index, theirs] : other.intervals) {
-    Interval& ours = intervals[index];
-    ours.active.insert(theirs.active.begin(), theirs.active.end());
-    for (const auto& [user, bytes] : theirs.bytes) {
-      ours.bytes[user] += bytes;
-    }
+// Folds one closed interval into the accumulators: the users that moved
+// bytes in ascending id order, then a zero for each that moved none (e.g.
+// only an unlink) — the order both modes share.
+void FoldInterval(const UserInterval& interval, Duration length, IntervalActivity* out) {
+  const auto active = static_cast<int64_t>(interval.active.size());
+  out->active_users.Add(static_cast<double>(active));
+  out->max_active_users = std::max(out->max_active_users, active);
+  for (const auto& [user, bytes] : interval.bytes) {
+    out->throughput_per_user.Add(static_cast<double>(bytes) / length.seconds());
   }
+  for (size_t i = interval.bytes.size(); i < interval.active.size(); ++i) {
+    out->throughput_per_user.Add(0.0);
+  }
+  out->intervals += 1;
+}
+
+}  // namespace
+
+// -- ActivityWindowSegment ----------------------------------------------------
+
+void ActivityWindowSegment::Merge(const ActivityWindowSegment& other) {
+  MergeIntervals(&intervals, other.intervals);
 }
 
 IntervalActivity ActivityWindowSegment::Finalize() const {
   IntervalActivity out;
   out.interval_length = length;
   int64_t prev = -1;
-  for (const auto& [index, interval] : intervals) {
-    // Empty intervals between touched ones count as zero active users, just
-    // like the streaming window's gap fill.
-    for (int64_t i = prev + 1; i < index; ++i) {
-      out.active_users.Add(0.0);
-      out.intervals += 1;
-    }
-    out.active_users.Add(static_cast<double>(interval.active.size()));
-    out.max_active_users = std::max(out.max_active_users,
-                                    static_cast<int64_t>(interval.active.size()));
-    for (const auto& [user, bytes] : interval.bytes) {
-      out.throughput_per_user.Add(static_cast<double>(bytes) / length.seconds());
-    }
-    for (UserId user : interval.active) {
-      if (interval.bytes.count(user) == 0) {
-        out.throughput_per_user.Add(0.0);
-      }
-    }
-    out.intervals += 1;
-    prev = index;
+  for (const UserInterval& interval : intervals) {
+    AddEmptyIntervals(prev + 1, interval.index, &out);
+    FoldInterval(interval, length, &out);
+    prev = interval.index;
   }
   return out;
 }
 
 // -- ActivitySegment ----------------------------------------------------------
 
-void ActivitySegment::Touch(SimTime t, UserId user, uint64_t bytes) {
-  ten_minute.Touch(t, user, bytes);
-  ten_second.Touch(t, user, bytes);
-}
-
 void ActivitySegment::Merge(const ActivitySegment& other) {
   ten_minute.Merge(other.ten_minute);
   ten_second.Merge(other.ten_second);
-  users_seen.insert(other.users_seen.begin(), other.users_seen.end());
+  std::vector<UserId> users;
+  users.reserve(users_seen.size() + other.users_seen.size());
+  std::set_union(users_seen.begin(), users_seen.end(), other.users_seen.begin(),
+                 other.users_seen.end(), std::back_inserter(users));
+  users_seen = std::move(users);
   total_bytes += other.total_bytes;
   last_time = std::max(last_time, other.last_time);
 }
@@ -88,70 +86,34 @@ ActivityCollector::ActivityCollector(bool segment_mode)
       ten_minute_(Duration::Minutes(10)),
       ten_second_(Duration::Seconds(10)) {}
 
-UserId ActivityCollector::UserOf(const TraceRecord& r) {
-  switch (r.type) {
-    case EventType::kOpen:
-    case EventType::kCreate:
-      open_user_[r.open_id] = r.user_id;
-      return r.user_id;
-    case EventType::kSeek: {
-      auto it = open_user_.find(r.open_id);
-      return it != open_user_.end() ? it->second : r.user_id;
-    }
-    case EventType::kClose: {
-      auto it = open_user_.find(r.open_id);
-      if (it == open_user_.end()) {
-        return r.user_id;
-      }
-      const UserId user = it->second;
-      open_user_.erase(it);
-      return user;
-    }
-    default:
-      return r.user_id;
-  }
-}
-
-void ActivityCollector::FlushWindow(Window& w) {
-  if (w.current_index < 0) {
+void ActivityCollector::CloseInterval(Window& w) {
+  UserInterval closed = w.slots.Close(users_.ids());
+  if (closed.active.empty()) {
     return;
   }
-  w.result.active_users.Add(static_cast<double>(w.active.size()));
-  w.result.max_active_users =
-      std::max(w.result.max_active_users, static_cast<int64_t>(w.active.size()));
-  // Ordered containers, so the Welford accumulator sees users in ascending id
-  // order — the same order the segmented replay (Finalize above) uses.
-  for (const auto& [user, bytes] : w.bytes) {
-    w.result.throughput_per_user.Add(static_cast<double>(bytes) / w.length.seconds());
+  if (segment_mode_) {
+    AppendInterval(&w.segment.intervals, std::move(closed));
+  } else {
+    FoldInterval(closed, w.slots.length(), &w.result);
   }
-  // Users active with zero reconstructed bytes (e.g. only an unlink) still
-  // count as active users with zero throughput.
-  for (UserId user : w.active) {
-    if (w.bytes.count(user) == 0) {
-      w.result.throughput_per_user.Add(0.0);
-    }
-  }
-  w.result.intervals += 1;
-  w.active.clear();
-  w.bytes.clear();
 }
 
-void ActivityCollector::Touch(Window& w, SimTime t, UserId user, uint64_t bytes) {
-  const int64_t index = t.micros() / w.length.micros();
-  if (index != w.current_index) {
-    // Flush completed interval(s); empty intervals between events count as
-    // intervals with zero active users.
-    FlushWindow(w);
-    for (int64_t i = w.current_index + 1; i < index; ++i) {
-      w.result.active_users.Add(0.0);
-      w.result.intervals += 1;
+void ActivityCollector::Touch(Window& w, SimTime t, uint32_t slot, uint64_t bytes) {
+  const int64_t index = w.slots.IndexOf(t);
+  if (index != w.slots.current()) {
+    CloseInterval(w);
+    if (!segment_mode_) {
+      AddEmptyIntervals(w.slots.current() + 1, index, &w.result);
     }
-    w.current_index = index;
+    w.slots.Open(index);
   }
-  w.active.insert(user);
-  if (bytes > 0) {
-    w.bytes[user] += bytes;
-  }
+  w.slots.Add(slot, bytes);
+}
+
+void ActivityCollector::Touch(SimTime t, UserId user, uint64_t bytes) {
+  const uint32_t slot = users_.Intern(user);
+  Touch(ten_minute_, t, slot, bytes);
+  Touch(ten_second_, t, slot, bytes);
 }
 
 void ActivityCollector::OnRecord(const TraceRecord& r) {
@@ -160,34 +122,21 @@ void ActivityCollector::OnRecord(const TraceRecord& r) {
   }
   // In segment mode a close/seek whose open lies before this segment has no
   // user here; the stitcher replays the record with the carried open's user.
-  if (segment_mode_ && (r.type == EventType::kSeek || r.type == EventType::kClose) &&
-      open_user_.count(r.open_id) == 0) {
+  UserId user;
+  if (!open_users_.UserOf(r, &user) && segment_mode_) {
     return;
   }
-  const UserId user = UserOf(r);
-  users_seen_.insert(user);
-  if (segment_mode_) {
-    segment_.Touch(r.time, user, 0);
-  } else {
-    Touch(ten_minute_, r.time, user, 0);
-    Touch(ten_second_, r.time, user, 0);
-  }
+  Touch(r.time, user, 0);
 }
 
 void ActivityCollector::OnTransfer(const Transfer& t) {
   total_bytes_ += t.length;
-  users_seen_.insert(t.user_id);
-  if (segment_mode_) {
-    segment_.Touch(t.time, t.user_id, t.length);
-  } else {
-    Touch(ten_minute_, t.time, t.user_id, t.length);
-    Touch(ten_second_, t.time, t.user_id, t.length);
-  }
+  Touch(t.time, t.user_id, t.length);
 }
 
 ActivityStats ActivityCollector::Take() {
-  FlushWindow(ten_minute_);
-  FlushWindow(ten_second_);
+  CloseInterval(ten_minute_);
+  CloseInterval(ten_second_);
   ActivityStats stats;
   stats.duration = last_time_ - SimTime::Origin();
   stats.total_bytes = total_bytes_;
@@ -195,20 +144,24 @@ ActivityStats ActivityCollector::Take() {
       stats.duration > Duration::Zero()
           ? static_cast<double>(total_bytes_) / stats.duration.seconds()
           : 0.0;
-  stats.distinct_users = users_seen_.size();
-  ten_minute_.result.interval_length = ten_minute_.length;
-  ten_second_.result.interval_length = ten_second_.length;
+  stats.distinct_users = users_.size();
+  ten_minute_.result.interval_length = ten_minute_.slots.length();
+  ten_second_.result.interval_length = ten_second_.slots.length();
   stats.ten_minute = ten_minute_.result;
   stats.ten_second = ten_second_.result;
   return stats;
 }
 
 ActivitySegment ActivityCollector::TakeSegment() {
-  segment_.users_seen = std::move(users_seen_);
-  segment_.total_bytes = total_bytes_;
-  segment_.last_time = last_time_;
-  segment_.open_user = std::move(open_user_);
-  return std::move(segment_);
+  CloseInterval(ten_minute_);
+  CloseInterval(ten_second_);
+  ActivitySegment segment;
+  segment.ten_minute = std::move(ten_minute_.segment);
+  segment.ten_second = std::move(ten_second_.segment);
+  segment.users_seen = users_.SortedIds();
+  segment.total_bytes = total_bytes_;
+  segment.last_time = last_time_;
+  return segment;
 }
 
 }  // namespace bsdtrace

@@ -7,21 +7,25 @@
 // the property that 10-second intervals show fewer, burstier users than
 // 10-minute intervals.
 //
-// Two operating modes.  The streaming mode keeps one open window per
-// interval length and folds each interval into Welford accumulators as it
-// completes.  The segment mode (parallel analysis) instead records an
-// order-free summary per touched interval — the active-user set and per-user
-// byte totals, both exact integers — which ActivitySegment::Merge can
-// combine across segments and Finalize replays in ascending interval order,
-// reproducing the streaming mode's accumulator updates bit for bit.
+// Two operating modes share one window type (UserWindow, user_slots.h): each
+// event marks its user's dense slot active in the current 10-minute and
+// 10-second interval.  When an interval closes, its users are sorted by id.
+// The streaming mode then folds the interval into Welford accumulators at
+// once; the segment mode (parallel and live analysis) appends the same
+// summary to an ascending list, which ActivitySegment::Merge unites across
+// segments and Finalize folds in interval order.  Both modes feed the
+// accumulators in one order, so they agree bit for bit:
+//   * per interval, the users with bytes > 0 in ascending id order, then one
+//     zero for each active user that moved no bytes;
+//   * every interval from 0 up to the last touched one is counted, those
+//     without an event as zero active users.
 
 #ifndef BSDTRACE_SRC_ANALYSIS_ACTIVITY_H_
 #define BSDTRACE_SRC_ANALYSIS_ACTIVITY_H_
 
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <vector>
 
+#include "src/analysis/user_slots.h"
 #include "src/trace/reconstruct.h"
 #include "src/util/stats.h"
 
@@ -47,25 +51,17 @@ struct ActivityStats {
   IntervalActivity ten_second;
 };
 
-// Order-free per-interval summary of one window length: which users were
-// active and how many reconstructed bytes each moved.  Ordered maps keep the
-// replay order deterministic without re-sorting.
+// The closed intervals of one window length, ascending by index.  Merge is
+// an exact sorted-vector union, so segments combine in any grouping.
 struct ActivityWindowSegment {
-  struct Interval {
-    std::set<UserId> active;
-    std::map<UserId, uint64_t> bytes;  // only users with bytes > 0
-  };
-
   explicit ActivityWindowSegment(Duration length) : length(length) {}
 
   Duration length;
-  std::map<int64_t, Interval> intervals;  // interval index -> summary
+  std::vector<UserInterval> intervals;
 
-  void Touch(SimTime t, UserId user, uint64_t bytes);
   void Merge(const ActivityWindowSegment& other);
-  // Replays the intervals in ascending index order — gaps count as intervals
-  // with zero active users, matching the streaming window — into Welford
-  // accumulators, per-interval users in ascending id order.
+  // Folds the intervals in ascending index order, counting the gaps as
+  // intervals with zero active users, exactly as the streaming window does.
   IntervalActivity Finalize() const;
 };
 
@@ -73,16 +69,10 @@ struct ActivityWindowSegment {
 struct ActivitySegment {
   ActivityWindowSegment ten_minute{Duration::Minutes(10)};
   ActivityWindowSegment ten_second{Duration::Seconds(10)};
-  std::set<UserId> users_seen;
+  std::vector<UserId> users_seen;  // ascending
   uint64_t total_bytes = 0;
   SimTime last_time;
-  // Boundary state, not merged: the opening user of each open still pending
-  // at the segment's end (close/seek records do not carry a user id).
-  std::unordered_map<OpenId, UserId> open_user;
 
-  void Touch(SimTime t, UserId user, uint64_t bytes);
-  // Absorbs other's interval summaries, users, bytes, and last-event time.
-  // open_user is boundary state and is deliberately left alone.
   void Merge(const ActivitySegment& other);
   ActivityStats Finalize() const;
 };
@@ -96,6 +86,9 @@ class ActivityCollector : public ReconstructionSink {
 
   void OnRecord(const TraceRecord& record) override;
   void OnTransfer(const Transfer& transfer) override;
+  // Marks `user` active at `t`, moving `bytes`: the stitcher's replay of a
+  // record whose user only the carried open knows.
+  void Touch(SimTime t, UserId user, uint64_t bytes);
 
   ActivityStats Take();
   // Segment-mode result (collector may not be reused).
@@ -103,26 +96,20 @@ class ActivityCollector : public ReconstructionSink {
 
  private:
   struct Window {
-    explicit Window(Duration length) : length(length) {}
-    Duration length;
-    int64_t current_index = -1;
-    std::set<UserId> active;
-    std::map<UserId, uint64_t> bytes;
-    IntervalActivity result;
+    explicit Window(Duration length) : slots(length), segment(length) {}
+    UserWindow slots;
+    IntervalActivity result;        // streaming mode
+    ActivityWindowSegment segment;  // segment mode
   };
 
-  void Touch(Window& w, SimTime t, UserId user, uint64_t bytes);
-  void FlushWindow(Window& w);
-  // The user on whose behalf a record was logged (close/seek records carry
-  // no user id; we remember it from the open).
-  UserId UserOf(const TraceRecord& record);
+  void Touch(Window& w, SimTime t, uint32_t slot, uint64_t bytes);
+  void CloseInterval(Window& w);
 
   bool segment_mode_;
+  UserSlots users_;
+  OpenUsers open_users_;
   Window ten_minute_;
   Window ten_second_;
-  ActivitySegment segment_;
-  std::unordered_map<OpenId, UserId> open_user_;
-  std::set<UserId> users_seen_;
   uint64_t total_bytes_ = 0;
   SimTime last_time_;
 };

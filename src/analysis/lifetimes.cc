@@ -51,7 +51,7 @@ void LifetimeCollector::SegmentEvent(FileId file, SimTime when, bool creates) {
   st.live_slot = -1;
   if (creates) {
     st.live_slot = static_cast<int32_t>(slots_.size());
-    slots_.push_back(LifetimeSegment::Slot{.birth = when});
+    slots_.push_back(LifetimeSegment::Slot{.birth = when, .death = SimTime()});
     stats_.new_files += 1;
   }
 }

@@ -4,33 +4,13 @@
 
 namespace bsdtrace {
 
-namespace {
-
-int64_t DayIndex(SimTime t) { return t.micros() / Duration::Hours(24).micros(); }
-
-}  // namespace
-
 // -- PerUserSegment -----------------------------------------------------------
 
-void PerUserSegment::Touch(SimTime t, UserId user, uint64_t records, uint64_t bytes) {
-  PerUserTotals& totals = users[user];
-  totals.records += records;
-  totals.bytes += bytes;
-  daily_active[DayIndex(t)].insert(user);
-  if (t > last_time) {
-    last_time = t;
-  }
-}
-
 void PerUserSegment::Merge(const PerUserSegment& other) {
-  for (const auto& [user, theirs] : other.users) {
-    PerUserTotals& ours = users[user];
-    ours.records += theirs.records;
-    ours.bytes += theirs.bytes;
-  }
-  for (const auto& [day, active] : other.daily_active) {
-    daily_active[day].insert(active.begin(), active.end());
-  }
+  users = MergeById(users, other.users, [](const PerUserTotals& a, const PerUserTotals& b) {
+    return PerUserTotals{.records = a.records + b.records, .bytes = a.bytes + b.bytes};
+  });
+  MergeIntervals(&daily_active, other.daily_active);
   last_time = std::max(last_time, other.last_time);
 }
 
@@ -38,8 +18,8 @@ PerUserActivityStats PerUserSegment::Finalize() const {
   PerUserActivityStats stats;
   stats.duration = last_time - SimTime::Origin();
   stats.days = stats.duration.seconds() / Duration::Hours(24).seconds();
-  stats.users = users;
   for (const auto& [user, totals] : users) {
+    stats.users.emplace_hint(stats.users.end(), user, totals);
     stats.total_records += totals.records;
     stats.total_bytes += totals.bytes;
     if (stats.days > 0.0) {
@@ -48,17 +28,13 @@ PerUserActivityStats PerUserSegment::Finalize() const {
   }
   // Days between the first and last touched day with no activity at all
   // count as zero-active days, matching the Table IV gap-fill convention.
-  int64_t prev = -1;
-  bool first = true;
-  for (const auto& [day, active] : daily_active) {
-    if (!first) {
-      for (int64_t i = prev + 1; i < day; ++i) {
+  for (size_t i = 0; i < daily_active.size(); ++i) {
+    if (i > 0) {
+      for (int64_t day = daily_active[i - 1].index + 1; day < daily_active[i].index; ++day) {
         stats.active_users_per_day.Add(0.0);
       }
     }
-    stats.active_users_per_day.Add(static_cast<double>(active.size()));
-    prev = day;
-    first = false;
+    stats.active_users_per_day.Add(static_cast<double>(daily_active[i].active.size()));
   }
   return stats;
 }
@@ -68,47 +44,61 @@ PerUserActivityStats PerUserSegment::Finalize() const {
 PerUserActivityCollector::PerUserActivityCollector(bool segment_mode)
     : segment_mode_(segment_mode) {}
 
-UserId PerUserActivityCollector::UserOf(const TraceRecord& r) {
-  switch (r.type) {
-    case EventType::kOpen:
-    case EventType::kCreate:
-      open_user_[r.open_id] = r.user_id;
-      return r.user_id;
-    case EventType::kSeek: {
-      auto it = open_user_.find(r.open_id);
-      return it != open_user_.end() ? it->second : r.user_id;
-    }
-    case EventType::kClose: {
-      auto it = open_user_.find(r.open_id);
-      if (it == open_user_.end()) {
-        return r.user_id;
-      }
-      const UserId user = it->second;
-      open_user_.erase(it);
-      return user;
-    }
-    default:
-      return r.user_id;
+void PerUserActivityCollector::CloseDay() {
+  UserInterval closed = days_.Close(users_.ids());
+  if (!closed.active.empty()) {
+    AppendInterval(&daily_active_, std::move(closed));
+  }
+}
+
+void PerUserActivityCollector::Touch(SimTime t, UserId user, uint64_t records,
+                                     uint64_t bytes) {
+  const uint32_t slot = users_.Intern(user);
+  if (slot == totals_.size()) {
+    totals_.emplace_back();
+  }
+  totals_[slot].records += records;
+  totals_[slot].bytes += bytes;
+  const int64_t day = days_.IndexOf(t);
+  if (day != days_.current()) {
+    CloseDay();
+    days_.Open(day);
+  }
+  days_.Add(slot, 0);
+  if (t > last_time_) {
+    last_time_ = t;
   }
 }
 
 void PerUserActivityCollector::OnRecord(const TraceRecord& r) {
   // Segment mode: a close/seek whose open lies before this segment has no
   // user here; the stitcher replays the record with the carried open's user.
-  if (segment_mode_ && (r.type == EventType::kSeek || r.type == EventType::kClose) &&
-      open_user_.count(r.open_id) == 0) {
+  UserId user;
+  if (!open_users_.UserOf(r, &user) && segment_mode_) {
     return;
   }
-  segment_.Touch(r.time, UserOf(r), /*records=*/1, /*bytes=*/0);
+  Touch(r.time, user, /*records=*/1, /*bytes=*/0);
 }
 
 void PerUserActivityCollector::OnTransfer(const Transfer& t) {
-  segment_.Touch(t.time, t.user_id, /*records=*/0, t.length);
+  Touch(t.time, t.user_id, /*records=*/0, t.length);
 }
 
-PerUserActivityStats PerUserActivityCollector::Take() { return segment_.Finalize(); }
+PerUserActivityStats PerUserActivityCollector::Take() { return TakeSegment().Finalize(); }
 
-PerUserSegment PerUserActivityCollector::TakeSegment() { return std::move(segment_); }
+PerUserSegment PerUserActivityCollector::TakeSegment() {
+  CloseDay();
+  PerUserSegment segment;
+  segment.daily_active = std::move(daily_active_);
+  segment.users.reserve(users_.size());
+  for (size_t slot = 0; slot < users_.size(); ++slot) {
+    segment.users.emplace_back(users_.ids()[slot], totals_[slot]);
+  }
+  std::sort(segment.users.begin(), segment.users.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  segment.last_time = last_time_;
+  return segment;
+}
 
 // -- Table I band validation --------------------------------------------------
 

@@ -12,20 +12,23 @@
 // (workload/fleet.h) are validated: a 1000-user A5 must keep the same
 // per-user activity as the paper's 90-user A5.
 //
-// Like the Table IV collector (activity.h) this runs in two modes.  The
-// serial mode and the segment mode both accumulate the same order-free
-// integer summary (PerUserSegment); segments merge by summation/union, so the
-// parallel analyzer reproduces the serial results bit for bit.
+// Like the Table IV collector (activity.h) this runs in two modes, and both
+// accumulate the same order-free integer summary (PerUserSegment).  Users
+// are interned into dense slots (user_slots.h) that hold their totals; a
+// one-day UserWindow records which users were active on each day.  The
+// summary lists users and each day's active users in ascending id order, so
+// segments merge by a sorted-vector sum/union and the parallel analyzer
+// reproduces the serial results bit for bit.
 
 #ifndef BSDTRACE_SRC_ANALYSIS_PER_USER_ACTIVITY_H_
 #define BSDTRACE_SRC_ANALYSIS_PER_USER_ACTIVITY_H_
 
 #include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/analysis/user_slots.h"
 #include "src/trace/fleet_tag.h"
 #include "src/trace/reconstruct.h"
 #include "src/util/stats.h"
@@ -58,14 +61,14 @@ struct PerUserActivityStats {
   RunningStats active_users_per_day;
 };
 
-// Order-free per-segment summary: pure integer counts and sets, so Merge is
-// exact and Finalize is a deterministic function of the merged content.
+// Order-free per-segment summary: pure integer counts and id lists, so Merge
+// is exact and Finalize is a deterministic function of the merged content.
 struct PerUserSegment {
-  std::map<UserId, PerUserTotals> users;
-  std::map<int64_t, std::set<UserId>> daily_active;  // day index -> users
+  std::vector<std::pair<UserId, PerUserTotals>> users;  // ascending id
+  // Ascending day index; each day's `active` users (no bytes).
+  std::vector<UserInterval> daily_active;
   SimTime last_time;
 
-  void Touch(SimTime t, UserId user, uint64_t records, uint64_t bytes);
   void Merge(const PerUserSegment& other);
   PerUserActivityStats Finalize() const;
 };
@@ -79,17 +82,24 @@ class PerUserActivityCollector : public ReconstructionSink {
 
   void OnRecord(const TraceRecord& record) override;
   void OnTransfer(const Transfer& transfer) override;
+  // Attributes `records` and `bytes` to `user` at `t`: the stitcher's replay
+  // of a record whose user only the carried open knows.
+  void Touch(SimTime t, UserId user, uint64_t records, uint64_t bytes);
 
   PerUserActivityStats Take();
   // Segment-mode result (collector may not be reused).
   PerUserSegment TakeSegment();
 
  private:
-  UserId UserOf(const TraceRecord& record);
+  void CloseDay();
 
   bool segment_mode_;
-  PerUserSegment segment_;
-  std::unordered_map<OpenId, UserId> open_user_;
+  UserSlots users_;
+  std::vector<PerUserTotals> totals_;  // by slot
+  OpenUsers open_users_;
+  UserWindow days_{Duration::Hours(24)};
+  std::vector<UserInterval> daily_active_;
+  SimTime last_time_;
 };
 
 // -- Table I band validation --------------------------------------------------

@@ -93,17 +93,21 @@ struct CarriedIncarnation {
 class StitchSink : public ReconstructionSink {
  public:
   StitchSink(OverallStats* overall_extra, PatternsCollector* patterns,
-             SequentialityCollector* sequentiality, ActivitySegment* activity,
-             PerUserSegment* per_user,
+             SequentialityCollector* sequentiality,
              std::unordered_map<FileId, CarriedIncarnation>* carried_live)
       : overall_extra_(overall_extra),
         patterns_(patterns),
         sequentiality_(sequentiality),
-        activity_(activity),
-        per_user_(per_user),
         carried_live_(carried_live) {}
 
-  void set_segment(LifetimeSegment* lifetimes) { lifetimes_ = lifetimes; }
+  // The segment being absorbed, and the collectors that count its orphans'
+  // activity.
+  void set_segment(LifetimeSegment* lifetimes, ActivityCollector* activity,
+                   PerUserActivityCollector* per_user) {
+    lifetimes_ = lifetimes;
+    activity_ = activity;
+    per_user_ = per_user;
+  }
   void set_tag(LifetimeOrphanTag tag) { tag_ = tag; }
 
   void OnTransfer(const Transfer& t) override {
@@ -114,10 +118,8 @@ class StitchSink : public ReconstructionSink {
       overall_extra_->bytes_written += t.length;
     }
     patterns_->OnTransfer(t);
-    activity_->users_seen.insert(t.user_id);
-    activity_->total_bytes += t.length;
-    activity_->Touch(t.time, t.user_id, t.length);
-    per_user_->Touch(t.time, t.user_id, /*records=*/0, t.length);
+    activity_->OnTransfer(t);
+    per_user_->OnTransfer(t);
     if (t.direction == TransferDirection::kWrite) {
       switch (tag_.zone) {
         case LifetimeOrphanTag::Zone::kPre: {
@@ -145,10 +147,10 @@ class StitchSink : public ReconstructionSink {
   OverallStats* overall_extra_;
   PatternsCollector* patterns_;
   SequentialityCollector* sequentiality_;
-  ActivitySegment* activity_;
-  PerUserSegment* per_user_;
   std::unordered_map<FileId, CarriedIncarnation>* carried_live_;
   LifetimeSegment* lifetimes_ = nullptr;
+  ActivityCollector* activity_ = nullptr;
+  PerUserActivityCollector* per_user_ = nullptr;
   LifetimeOrphanTag tag_;
 };
 
@@ -166,8 +168,7 @@ void EmitLifetimeSample(LifetimeStats* stats, SimTime birth, SimTime death,
 
 struct SegmentStitcher::Impl {
   Impl()
-      : sink(&overall_extra, &patterns, &sequentiality, &activity, &per_user,
-             &carried_live),
+      : sink(&overall_extra, &patterns, &sequentiality, &carried_live),
         reconstructor(&sink) {}
 
   // Merged order-free partials of the segments absorbed so far.
@@ -192,7 +193,9 @@ struct SegmentStitcher::Impl {
 };
 
 void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
-  sink.set_segment(&seg.lifetimes);
+  ActivityCollector orphan_activity(/*segment_mode=*/true);
+  PerUserActivityCollector orphan_per_user(/*segment_mode=*/true);
+  sink.set_segment(&seg.lifetimes, &orphan_activity, &orphan_per_user);
   // 1. Replay the records whose open lies in an earlier segment.  The
   // carried reconstructor emits their transfers and access summaries; the
   // loop itself restores the record-level effects the segment had to skip:
@@ -213,10 +216,11 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
     }
     sink.set_tag(orphan.tag);
     reconstructor.Process(r);
-    activity.users_seen.insert(user);
-    activity.Touch(r.time, user, 0);
-    per_user.Touch(r.time, user, /*records=*/1, /*bytes=*/0);
+    orphan_activity.Touch(r.time, user, 0);
+    orphan_per_user.Touch(r.time, user, /*records=*/1, /*bytes=*/0);
   }
+  activity.Merge(orphan_activity.TakeSegment());
+  per_user.Merge(orphan_per_user.TakeSegment());
 
   // 2. Adopt this segment's boundary state: its pending opens become the
   // carried opens for later segments.

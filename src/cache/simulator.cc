@@ -23,7 +23,9 @@ std::string CacheConfig::ToString() const {
   std::string out = FormatBytes(static_cast<double>(size_bytes)) + " cache, " +
                     FormatBytes(block_size) + " blocks, " + WritePolicyName(policy);
   if (policy == WritePolicy::kFlushBack) {
-    out += "(" + flush_interval.ToString() + ")";
+    out += '(';
+    out += flush_interval.ToString();
+    out += ')';
   }
   if (replacement != ReplacementPolicy::kLru) {
     out += std::string(", ") + ReplacementPolicyName(replacement);

@@ -9,7 +9,9 @@ std::string Duration::ToString() const {
   char buf[64];
   const int64_t us = us_;
   if (us < 0) {
-    return "-" + Duration::Micros(-us).ToString();
+    std::string out = "-";
+    out += Duration::Micros(-us).ToString();
+    return out;
   }
   if (us < 1000) {
     std::snprintf(buf, sizeof(buf), "%" PRId64 "us", us);

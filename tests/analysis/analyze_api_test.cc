@@ -13,14 +13,11 @@
 #include "src/workload/fleet.h"
 #include "src/workload/generator.h"
 #include "src/workload/sharded_generator.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 Trace SmallTrace() {
   TraceBuilder b;
@@ -85,7 +82,7 @@ TEST(AnalyzeApi, IndexedFileReportsParallelAndMatchesSerial) {
   gen.duration = Duration::Hours(4);
   gen.seed = 99;
   const Trace trace = GenerateTraceOnly(ProfileA5(), gen);
-  const std::string path = TempPath("analyze_api_parallel.trc");
+  const std::string path = TestTempPath("analyze_api_parallel.trc");
   TraceWriterOptions writer;
   writer.version = 3;
   writer.block_target_bytes = 4096;
@@ -146,7 +143,7 @@ TEST(AnalyzeApi, CheckBandsFillsVerdictsForFleetTraces) {
   gen.base.seed = 1234;
   gen.shards_per_machine = 2;
   gen.threads = 2;
-  const std::string path = TempPath("analyze_api_bands.trc");
+  const std::string path = TestTempPath("analyze_api_bands.trc");
   ASSERT_TRUE(GenerateFleetToFile(fleet.value(), gen, path).ok());
 
   AnalyzeOptions options;

@@ -13,14 +13,11 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/workload/generator.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // Saves as v3 with tiny blocks (many segment boundaries) and returns the
 // serial streaming analysis of the same file.
@@ -117,7 +114,7 @@ Trace StraddleTrace() {
 
 TEST(ParallelAnalyzer, StraddleTraceParity) {
   const Trace trace = StraddleTrace();
-  const std::string path = TempPath("parallel_straddle.trc");
+  const std::string path = TestTempPath("parallel_straddle.trc");
   const TraceAnalysis serial = SaveAndAnalyzeSerial(trace, path, /*block_target=*/64);
   SeekableTraceSource seekable(path);
   ASSERT_TRUE(seekable.status().ok());
@@ -137,7 +134,7 @@ TEST_P(StandardWorkloadParity, BitIdenticalAcrossThreadCounts) {
   options.duration = Duration::Minutes(45);
   options.seed = 1985;
   const Trace trace = GenerateTraceOnly(profile, options);
-  const std::string path = TempPath(std::string("parallel_") + GetParam() + ".trc");
+  const std::string path = TestTempPath(std::string("parallel_") + GetParam() + ".trc");
   // 16 KB blocks: plenty of segment boundaries without bloating the file.
   const TraceAnalysis serial = SaveAndAnalyzeSerial(trace, path, 16 * 1024);
   for (unsigned threads : {1u, 2u, 8u}) {
@@ -150,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(Traces, StandardWorkloadParity,
 
 TEST(ParallelAnalyzer, V2FileFallsBackToSerial) {
   const Trace trace = StraddleTrace();
-  const std::string path = TempPath("parallel_v2.trc");
+  const std::string path = TestTempPath("parallel_v2.trc");
   ASSERT_TRUE(SaveTrace(path, trace).ok());
   TraceFileSource source(path);
   AnalyzeOptions serial_options;
@@ -169,7 +166,7 @@ TEST(ParallelAnalyzer, V2FileFallsBackToSerial) {
 
 TEST(ParallelAnalyzer, MissingFileIsAnError) {
   AnalyzeOptions options;
-  options.path = TempPath("does_not_exist.trc");
+  options.path = TestTempPath("does_not_exist.trc");
   options.threads = 4;
   auto result = Analyze(options);
   EXPECT_FALSE(result.ok());
@@ -177,7 +174,7 @@ TEST(ParallelAnalyzer, MissingFileIsAnError) {
 
 TEST(ParallelAnalyzer, CorruptBlockSurfacesThroughWorkers) {
   const Trace trace = StraddleTrace();
-  const std::string path = TempPath("parallel_corrupt.trc");
+  const std::string path = TestTempPath("parallel_corrupt.trc");
   TraceWriterOptions options;
   options.version = 3;
   options.block_target_bytes = 64;
@@ -209,7 +206,7 @@ TEST(ParallelAnalyzer, CorruptBlockSurfacesThroughWorkers) {
 std::vector<TraceBlockIndexEntry> UniformIndex(size_t blocks, uint64_t records_each) {
   std::vector<TraceBlockIndexEntry> index(blocks);
   for (size_t i = 0; i < blocks; ++i) {
-    index[i] = {.offset = i * 1000, .record_count = records_each};
+    index[i] = {.offset = i * 1000, .record_count = records_each, .start_time = SimTime()};
   }
   return index;
 }
@@ -261,7 +258,9 @@ TEST(CarveIndex, ZeroMinDisablesCoalescing) {
 TEST(CarveIndex, UnevenBlocksStillPartition) {
   std::vector<TraceBlockIndexEntry> index;
   for (uint64_t i = 0; i < 30; ++i) {
-    index.push_back({.offset = i * 100, .record_count = (i % 7 == 0) ? 20'000u : 3u});
+    index.push_back({.offset = i * 100,
+                     .record_count = (i % 7 == 0) ? 20'000u : 3u,
+                     .start_time = SimTime()});
   }
   for (const unsigned threads : {2u, 4u, 8u, 16u}) {
     const auto ranges = internal::CarveIndex(index, threads, 8192);

@@ -16,6 +16,7 @@
 #include "src/workload/fleet.h"
 #include "src/workload/sharded_generator.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -50,7 +51,9 @@ TEST(PerUserActivity, AttributesClosesSeeksAndBytesToOpeningUser) {
 // -- Segment algebra ----------------------------------------------------------
 
 TEST(PerUserSegment, MergeMatchesSingleAccumulation) {
-  PerUserSegment whole, left, right;
+  PerUserActivityCollector whole(/*segment_mode=*/true);
+  PerUserActivityCollector left(/*segment_mode=*/true);
+  PerUserActivityCollector right(/*segment_mode=*/true);
   const struct {
     double t;
     UserId user;
@@ -64,13 +67,15 @@ TEST(PerUserSegment, MergeMatchesSingleAccumulation) {
     whole.Touch(SimTime::FromSeconds(e.t), e.user, e.records, e.bytes);
     (i++ % 2 == 0 ? left : right).Touch(SimTime::FromSeconds(e.t), e.user, e.records, e.bytes);
   }
-  left.Merge(right);
-  EXPECT_EQ(left.users, whole.users);
-  EXPECT_EQ(left.daily_active, whole.daily_active);
-  EXPECT_EQ(left.last_time, whole.last_time);
+  PerUserSegment merged = left.TakeSegment();
+  merged.Merge(right.TakeSegment());
+  const PerUserSegment single = whole.TakeSegment();
+  EXPECT_EQ(merged.users, single.users);
+  EXPECT_EQ(merged.daily_active, single.daily_active);
+  EXPECT_EQ(merged.last_time, single.last_time);
 
-  const PerUserActivityStats a = left.Finalize();
-  const PerUserActivityStats b = whole.Finalize();
+  const PerUserActivityStats a = merged.Finalize();
+  const PerUserActivityStats b = single.Finalize();
   EXPECT_EQ(a.users, b.users);
   EXPECT_EQ(a.total_records, b.total_records);
   EXPECT_EQ(a.total_bytes, b.total_bytes);
@@ -84,10 +89,10 @@ TEST(PerUserSegment, MergeMatchesSingleAccumulation) {
 // Days with no activity between the first and last touched day are counted
 // as zero-active days, not skipped.
 TEST(PerUserSegment, QuietDaysCountAsZeroActive) {
-  PerUserSegment segment;
-  segment.Touch(SimTime::FromSeconds(100.0), 5, 1, 0);               // day 0
-  segment.Touch(SimTime::FromSeconds(3 * 86400.0 + 100.0), 5, 1, 0);  // day 3
-  const PerUserActivityStats stats = segment.Finalize();
+  PerUserActivityCollector collector;
+  collector.Touch(SimTime::FromSeconds(100.0), 5, 1, 0);               // day 0
+  collector.Touch(SimTime::FromSeconds(3 * 86400.0 + 100.0), 5, 1, 0);  // day 3
+  const PerUserActivityStats stats = collector.Take();
   EXPECT_EQ(stats.active_users_per_day.count(), 4);  // days 0..3
   EXPECT_EQ(stats.active_users_per_day.sum(), 2.0);
   EXPECT_EQ(stats.active_users_per_day.min(), 0.0);
@@ -108,7 +113,7 @@ TEST(PerUserActivity, FleetSerialAndParallelAnalysesBitIdentical) {
   ASSERT_TRUE(generated.ok()) << generated.status().message();
 
   // Tiny blocks force many parallel segment boundaries.
-  const std::string path = ::testing::TempDir() + "/per_user_fleet.trc";
+  const std::string path = TestTempPath("per_user_fleet.trc");
   TraceWriterOptions writer;
   writer.version = 3;
   writer.block_target_bytes = 4096;

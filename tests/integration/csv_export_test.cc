@@ -15,6 +15,7 @@
 #include "src/analysis/analyzer.h"
 #include "src/core/experiments.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_dir.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
 
@@ -60,7 +61,7 @@ class CsvExportTest : public ::testing::Test {
 const TraceAnalysis* CsvExportTest::analysis_ = nullptr;
 
 TEST_F(CsvExportTest, FigureCsvsRoundTrip) {
-  const fs::path dir = fs::temp_directory_path() / "bsdtrace-csv-test";
+  const fs::path dir = TestTempPath("csv");
   fs::remove_all(dir);
   ASSERT_TRUE(fs::create_directories(dir));
   const std::vector<NamedAnalysis> traces = {{"A5", analysis_}};
@@ -110,7 +111,7 @@ TEST_F(CsvExportTest, FigureCsvsRoundTrip) {
 }
 
 TEST_F(CsvExportTest, MissingDirectoryIsCleanError) {
-  const fs::path dir = fs::temp_directory_path() / "bsdtrace-csv-test-missing" / "nested";
+  const fs::path dir = fs::path(TestTempPath("missing")) / "nested";
   fs::remove_all(dir.parent_path());
   const std::vector<NamedAnalysis> traces = {{"A5", analysis_}};
   const Status st = ExportFigureCsvs(dir.string(), traces);
@@ -134,8 +135,7 @@ TEST(SweepCsvExport, RoundTripsPoints) {
   points[1].metrics.disk_reads = 100;
   points[1].metrics.disk_writes = 300;
 
-  const std::string path =
-      (fs::temp_directory_path() / "bsdtrace-csv-test-sweep.csv").string();
+  const std::string path = TestTempPath("sweep.csv");
   const Status st = ExportSweepCsv(path, points);
   ASSERT_TRUE(st.ok()) << st.message();
 
@@ -154,8 +154,7 @@ TEST(SweepCsvExport, RoundTripsPoints) {
 }
 
 TEST(SweepCsvExport, MissingDirectoryIsCleanError) {
-  const std::string path =
-      (fs::temp_directory_path() / "bsdtrace-csv-test-no-dir" / "fig5.csv").string();
+  const std::string path = TestTempPath("no-dir") + "/fig5.csv";
   const Status st = ExportSweepCsv(path, {});
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cannot open"), std::string::npos) << st.message();

@@ -7,6 +7,7 @@
 
 #include "src/core/experiments.h"
 #include "tests/testing/analyze_helpers.h"
+#include "tests/testing/temp_dir.h"
 
 namespace bsdtrace {
 namespace {
@@ -110,7 +111,7 @@ TEST_F(ExperimentsTest, CacheRenderingsCoverAxes) {
 }
 
 TEST_F(ExperimentsTest, CsvExportWritesFigureSeries) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TestTempDir();
   const Status st = ExportFigureCsvs(dir, Named());
   ASSERT_TRUE(st.ok()) << st.message();
   for (const char* name : {"fig1_runs.csv", "fig2_filesizes.csv", "fig3_opentimes.csv",
@@ -127,7 +128,7 @@ TEST_F(ExperimentsTest, CsvExportWritesFigureSeries) {
 }
 
 TEST_F(ExperimentsTest, CsvExportSweep) {
-  const std::string path = ::testing::TempDir() + "/sweep.csv";
+  const std::string path = TestTempPath("sweep.csv");
   const auto points = RunCacheSweep(result_->trace, Fig7Configs());
   ASSERT_TRUE(ExportSweepCsv(path, points).ok());
   std::ifstream in(path);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -35,10 +36,6 @@ int RunCaptured(const std::vector<std::string>& args, std::string* err) {
   return rc;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 bool FileExists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f != nullptr) {
@@ -58,7 +55,7 @@ TEST(TraceStreamCli, NoArgumentsOrUnknownCommandPrintUsage) {
 // 8-hour trace and "oops" a zero-hour one.  Every malformed numeric must now
 // reject with usage, a non-zero exit, and no output file.
 TEST(TraceStreamCli, MalformedNumericArgumentsAreRejected) {
-  const std::string out = TempPath("cli_reject.trc");
+  const std::string out = TestTempPath("cli_reject.trc");
   std::string err;
   const std::vector<std::vector<std::string>> bad = {
       {"generate", out, "A5", "8oops"},          // trailing junk on hours
@@ -84,25 +81,25 @@ TEST(TraceStreamCli, MalformedNumericArgumentsAreRejected) {
 // silently fall back to A5.
 TEST(TraceStreamCli, UnknownProfileFailsListingValidNames) {
   std::string err;
-  const int rc = RunCaptured({"generate", TempPath("cli_b9.trc"), "--profile=B9"}, &err);
+  const int rc = RunCaptured({"generate", TestTempPath("cli_b9.trc"), "--profile=B9"}, &err);
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find("B9"), std::string::npos);
   EXPECT_NE(err.find("A5"), std::string::npos);
   EXPECT_NE(err.find("E3"), std::string::npos);
   EXPECT_NE(err.find("C4"), std::string::npos);
-  EXPECT_FALSE(FileExists(TempPath("cli_b9.trc")));
+  EXPECT_FALSE(FileExists(TestTempPath("cli_b9.trc")));
 }
 
 TEST(TraceStreamCli, AnalyzeAndInfoFailCleanlyOnMissingFile) {
   std::string err;
-  EXPECT_EQ(RunCaptured({"analyze", TempPath("no_such.trc")}, &err), 1);
-  EXPECT_EQ(RunCaptured({"info", TempPath("no_such.trc")}, &err), 1);
+  EXPECT_EQ(RunCaptured({"analyze", TestTempPath("no_such.trc")}, &err), 1);
+  EXPECT_EQ(RunCaptured({"info", TestTempPath("no_such.trc")}, &err), 1);
 }
 
 // The whole pipeline at paper scale: generate a fleet-tagged 6-hour A5,
 // inspect it, analyze it in parallel, and gate on the Table I bands.
 TEST(TraceStreamCli, GenerateAnalyzeInfoRoundTripWithBands) {
-  const std::string out = TempPath("cli_roundtrip.trc");
+  const std::string out = TestTempPath("cli_roundtrip.trc");
   EXPECT_EQ(RunCli({"generate", out, "--profile=A5", "--hours=6", "--shards=4",
                  "--threads=2", "--seed=20260806"}),
             0);
@@ -120,7 +117,7 @@ TEST(TraceStreamCli, CheckBandsFailsOnUntaggedTrace) {
     b.WholeRead(i * 60.0, i * 60.0 + 1200.0, /*oid=*/i + 1, /*file=*/100 + i,
                 /*size=*/4096, /*user=*/2);
   }
-  const std::string path = TempPath("cli_untagged.trc");
+  const std::string path = TestTempPath("cli_untagged.trc");
   ASSERT_TRUE(SaveTrace(path, b.Build()).ok());
   std::string err;
   EXPECT_EQ(RunCli({"analyze", path, "--threads=1"}), 0);
@@ -130,7 +127,7 @@ TEST(TraceStreamCli, CheckBandsFailsOnUntaggedTrace) {
 
 // Flags override the legacy positionals they duplicate.
 TEST(TraceStreamCli, FlagsWinOverPositionals) {
-  const std::string out = TempPath("cli_flags_win.trc");
+  const std::string out = TestTempPath("cli_flags_win.trc");
   EXPECT_EQ(RunCli({"generate", out, "A5", "6", "--hours=0.5", "--shards=2"}), 0);
   ASSERT_TRUE(FileExists(out));
   // If the positional 6 hours had won, info's span line would read ~6.00
@@ -148,16 +145,16 @@ TEST(TraceStreamCli, FlagsWinOverPositionals) {
 // trace file is ever touched.
 TEST(TraceStreamCli, SweepRejectsUnknownFigure) {
   std::string err;
-  EXPECT_EQ(RunCaptured({"analyze", TempPath("cli_sweep_bad.trc"), "--sweep=fig8"}, &err), 2);
+  EXPECT_EQ(RunCaptured({"analyze", TestTempPath("cli_sweep_bad.trc"), "--sweep=fig8"}, &err), 2);
   EXPECT_NE(err.find("usage:"), std::string::npos);
-  EXPECT_EQ(RunCaptured({"analyze", TempPath("cli_sweep_bad.trc"), "--sweep="}, &err), 2);
+  EXPECT_EQ(RunCaptured({"analyze", TestTempPath("cli_sweep_bad.trc"), "--sweep="}, &err), 2);
 }
 
 // analyze --sweep=fig5 runs the planned §6 sweep: the Table VI block, the
 // single-pass Mattson curve table, and the parity verdict of the internal
 // engine cross-check (the exit code gates on it).
 TEST(TraceStreamCli, SweepFig5PrintsTableAndCurves) {
-  const std::string out = TempPath("cli_sweep.trc");
+  const std::string out = TestTempPath("cli_sweep.trc");
   ASSERT_EQ(RunCli({"generate", out, "--profile=A5", "--hours=1", "--shards=2",
                     "--threads=2", "--seed=20260809"}),
             0);
@@ -219,7 +216,7 @@ TEST(TraceStreamCli, FlagErrorsNameTheSubcommand) {
 // analyze --sweep=hier runs the §7 client/server hierarchy grid and gates on
 // the fused-vs-hierarchy parity verdict.
 TEST(TraceStreamCli, SweepHierPrintsHierarchyFigure) {
-  const std::string out = TempPath("cli_sweep_hier.trc");
+  const std::string out = TestTempPath("cli_sweep_hier.trc");
   ASSERT_EQ(RunCli({"generate", out, "--profile=A5", "--hours=1", "--shards=2",
                     "--threads=2", "--seed=20260809"}),
             0);
@@ -236,10 +233,10 @@ TEST(TraceStreamCli, SweepHierPrintsHierarchyFigure) {
 // generate → export → import → export must reproduce the text byte for byte
 // (the bsdtxt round-trip), and both binaries must analyze identically.
 TEST(TraceStreamCli, ExportImportRoundTripsTextAndAnalysis) {
-  const std::string trc = TempPath("cli_roundtrip.trc");
-  const std::string txt = TempPath("cli_roundtrip.txt");
-  const std::string trc2 = TempPath("cli_roundtrip2.trc");
-  const std::string txt2 = TempPath("cli_roundtrip2.txt");
+  const std::string trc = TestTempPath("cli_roundtrip.trc");
+  const std::string txt = TestTempPath("cli_roundtrip.txt");
+  const std::string trc2 = TestTempPath("cli_roundtrip2.trc");
+  const std::string txt2 = TestTempPath("cli_roundtrip2.txt");
   ASSERT_EQ(RunCli({"generate", trc, "--profile=A5", "--hours=0.2", "--shards=2",
                     "--threads=2", "--seed=11"}),
             0);
@@ -283,8 +280,8 @@ TEST(TraceStreamCli, ExportImportRoundTripsTextAndAnalysis) {
 // Imported traces run the hardened validator by default; --no-validate
 // writes the stream anyway.
 TEST(TraceStreamCli, ImportValidatesByDefault) {
-  const std::string txt = TempPath("cli_invalid.txt");
-  const std::string trc = TempPath("cli_invalid.trc");
+  const std::string txt = TestTempPath("cli_invalid.txt");
+  const std::string trc = TestTempPath("cli_invalid.trc");
   std::remove(trc.c_str());  // a prior run's --no-validate output may linger
   {
     std::ofstream out(txt);
@@ -306,8 +303,8 @@ TEST(TraceStreamCli, ImportValidatesByDefault) {
 }
 
 TEST(TraceStreamCli, ImportRejectsGarbageWithLineNumber) {
-  const std::string txt = TempPath("cli_garbage.txt");
-  const std::string trc = TempPath("cli_garbage.trc");
+  const std::string txt = TestTempPath("cli_garbage.txt");
+  const std::string trc = TestTempPath("cli_garbage.trc");
   std::remove(trc.c_str());
   {
     std::ofstream out(txt);
@@ -323,8 +320,8 @@ TEST(TraceStreamCli, ImportRejectsGarbageWithLineNumber) {
 // A small inline strace log drives the adapter end to end through the CLI:
 // import (validated), then the standard analysis.
 TEST(TraceStreamCli, ImportStraceLogAndAnalyze) {
-  const std::string log = TempPath("cli_strace.log");
-  const std::string trc = TempPath("cli_strace.trc");
+  const std::string log = TestTempPath("cli_strace.log");
+  const std::string trc = TestTempPath("cli_strace.trc");
   {
     std::ofstream out(log);
     out << "100.000001 open(\"/etc/passwd\", O_RDONLY) = 3\n"
@@ -351,8 +348,8 @@ TEST(TraceStreamCli, ImportExportUsageErrors) {
   EXPECT_EQ(RunCaptured({"export", "a.trc", "--format=strace"}, &err), 2);
   EXPECT_NE(err.find("not accepted"), std::string::npos) << err;
   // Missing input is a runtime failure (exit 1), not usage.
-  EXPECT_EQ(RunCaptured({"import", TempPath("no_such.txt"), TempPath("x.trc")}, &err), 1);
-  EXPECT_EQ(RunCaptured({"export", TempPath("no_such.trc")}, &err), 1);
+  EXPECT_EQ(RunCaptured({"import", TestTempPath("no_such.txt"), TestTempPath("x.trc")}, &err), 1);
+  EXPECT_EQ(RunCaptured({"export", TestTempPath("no_such.trc")}, &err), 1);
 }
 
 }  // namespace

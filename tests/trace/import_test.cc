@@ -20,6 +20,7 @@
 #include "src/util/rng.h"
 #include "src/workload/generator.h"
 #include "src/workload/profile.h"
+#include "tests/testing/temp_dir.h"
 
 #ifndef BSDTRACE_TEST_DATA_DIR
 #define BSDTRACE_TEST_DATA_DIR "tests/data"
@@ -108,7 +109,7 @@ TEST(TextTraceSource, HeaderCommentsAfterFirstRecordAreIgnored) {
 }
 
 TEST(TextTraceSource, MissingFileSurfacesInStatus) {
-  TextTraceSource source(std::string(::testing::TempDir() + "/no_such_trace.txt"));
+  TextTraceSource source(TestTempPath("no_such_trace.txt"));
   TraceRecord record{};
   EXPECT_FALSE(source.Next(&record));
   EXPECT_FALSE(source.status().ok());

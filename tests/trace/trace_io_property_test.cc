@@ -10,20 +10,13 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "gtest/gtest.h"
 #include "src/trace/trace_io.h"
 #include "src/util/rng.h"
+#include "tests/testing/temp_dir.h"
 
 namespace bsdtrace {
 namespace {
-
-// Unique per process: ctest runs each TEST() of this binary as its own
-// parallel process, and they must not share scratch files.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 // Random record with occasional extreme field values: zero, one, varint
 // byte-length boundaries, and the 64-bit maximum.  Records are built through
@@ -128,7 +121,7 @@ class TraceIoProperty : public ::testing::TestWithParam<uint64_t> {};
 // The buffered file path emits exactly the bytes of the iostream path.
 TEST_P(TraceIoProperty, BufferedBytesMatchStreamBytes) {
   const Trace trace = RandomTrace(GetParam(), 400);
-  const std::string path = TempPath("prop_bytes.trace");
+  const std::string path = TestTempPath("prop_bytes.trace");
   ASSERT_TRUE(SaveTrace(path, trace).ok());
   EXPECT_EQ(FileBytes(path), StreamBytes(trace));
 }
@@ -137,7 +130,7 @@ TEST_P(TraceIoProperty, BufferedBytesMatchStreamBytes) {
 // window and the stdio fallback.
 TEST_P(TraceIoProperty, BufferedRoundTripIdentity) {
   const Trace trace = RandomTrace(GetParam(), 400);
-  const std::string path = TempPath("prop_roundtrip.trace");
+  const std::string path = TestTempPath("prop_roundtrip.trace");
   ASSERT_TRUE(SaveTrace(path, trace).ok());
 
   auto loaded = LoadTrace(path);
@@ -162,7 +155,7 @@ TEST_P(TraceIoProperty, BufferedRoundTripIdentity) {
 // reader.
 TEST_P(TraceIoProperty, CrossPathReads) {
   const Trace trace = RandomTrace(GetParam(), 300);
-  const std::string path = TempPath("prop_cross.trace");
+  const std::string path = TestTempPath("prop_cross.trace");
   {
     std::ofstream out(path, std::ios::binary);
     WriteBinaryTrace(out, trace);
@@ -182,7 +175,7 @@ TEST_P(TraceIoProperty, CrossPathReads) {
 TEST_P(TraceIoProperty, VersionOneHeader) {
   const Trace trace = RandomTrace(GetParam(), 200);
   const std::string v1_bytes = ToV1(StreamBytes(trace));
-  const std::string path = TempPath("prop_v1.trace");
+  const std::string path = TestTempPath("prop_v1.trace");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(v1_bytes.data(), static_cast<std::streamsize>(v1_bytes.size()));
@@ -209,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoProperty,
 TEST(TraceIoPropertyEdge, TruncatedFilesFailCleanly) {
   const Trace trace = RandomTrace(99, 50);
   const std::string bytes = StreamBytes(trace);
-  const std::string path = TempPath("prop_trunc.trace");
+  const std::string path = TestTempPath("prop_trunc.trace");
   Rng rng(7);
   for (int i = 0; i < 20; ++i) {
     const size_t cut = static_cast<size_t>(
@@ -226,7 +219,7 @@ TEST(TraceIoPropertyEdge, TruncatedFilesFailCleanly) {
 
 // An empty file and a bad magic are reported as errors, not end-of-trace.
 TEST(TraceIoPropertyEdge, BadHeadersFail) {
-  const std::string path = TempPath("prop_bad.trace");
+  const std::string path = TestTempPath("prop_bad.trace");
   { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
   EXPECT_FALSE(LoadTrace(path).ok());
   {

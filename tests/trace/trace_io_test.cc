@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -233,7 +234,7 @@ TEST(TextTraceIo, SkipsBlankLinesAndComments) {
 }
 
 TEST(TraceFileIo, SaveAndLoad) {
-  const std::string path = ::testing::TempDir() + "/bsdtrace_io_test.trace";
+  const std::string path = TestTempPath("bsdtrace_io_test.trace");
   const Trace original = SampleTrace();
   ASSERT_TRUE(SaveTrace(path, original).ok());
   auto loaded = LoadTrace(path);

@@ -15,6 +15,7 @@
 
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_merge.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
@@ -25,9 +26,7 @@ namespace {
 class ScopedPath {
  public:
   explicit ScopedPath(const std::string& stem)
-      : path_((std::filesystem::temp_directory_path() /
-               ("bsdtrace-source-test-" + stem + ".trc"))
-                  .string()) {
+      : path_(TestTempPath(stem + ".trc")) {
     std::remove(path_.c_str());
   }
   ~ScopedPath() { std::remove(path_.c_str()); }

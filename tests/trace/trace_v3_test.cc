@@ -12,14 +12,11 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/util/rng.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -73,7 +70,7 @@ TraceWriterOptions SmallBlocks() {
 
 TEST(TraceV3, RoundTripsThroughFileWriterAndReader) {
   const Trace original = BigTrace();
-  const std::string path = TempPath("v3_roundtrip.trc");
+  const std::string path = TestTempPath("v3_roundtrip.trc");
   ASSERT_TRUE(SaveTrace(path, original, SmallBlocks()).ok());
 
   TraceFileReader reader(path);
@@ -95,7 +92,7 @@ TEST(TraceV3, RoundTripsThroughFileWriterAndReader) {
 
 TEST(TraceV3, EmptyTraceRoundTrips) {
   Trace empty(TraceHeader{.machine = "m", .description = ""});
-  const std::string path = TempPath("v3_empty.trc");
+  const std::string path = TestTempPath("v3_empty.trc");
   TraceWriterOptions options;
   options.version = 3;
   ASSERT_TRUE(SaveTrace(path, empty, options).ok());
@@ -111,7 +108,7 @@ TEST(TraceV3, BlocksSplitAtHourBoundaries) {
   Trace t(TraceHeader{.machine = "m", .description = ""});
   t.Append(MakeUnlink(SimTime::FromSeconds(10.0), 1, 1));
   t.Append(MakeUnlink(SimTime::FromSeconds(3'700.0), 2, 1));
-  const std::string path = TempPath("v3_hours.trc");
+  const std::string path = TestTempPath("v3_hours.trc");
   TraceWriterOptions options;
   options.version = 3;
   ASSERT_TRUE(SaveTrace(path, t, options).ok());
@@ -127,7 +124,7 @@ TEST(TraceV3, BlocksSplitAtHourBoundaries) {
 
 TEST(TraceV3, DetectsFlippedByte) {
   const Trace original = BigTrace(5'000);
-  const std::string path = TempPath("v3_corrupt.trc");
+  const std::string path = TestTempPath("v3_corrupt.trc");
   std::vector<TraceBlockIndexEntry> index;
   {
     TraceFileWriter writer(path, original.header(),
@@ -146,7 +143,7 @@ TEST(TraceV3, DetectsFlippedByte) {
   const size_t victim = index[1].offset + 12;
   ASSERT_LT(victim, static_cast<size_t>(index[2].offset));
   bytes[victim] = static_cast<char>(bytes[victim] ^ 0x40);
-  const std::string bad_path = TempPath("v3_corrupt_flipped.trc");
+  const std::string bad_path = TestTempPath("v3_corrupt_flipped.trc");
   WriteFileBytes(bad_path, bytes);
 
   for (const bool prefer_mmap : {true, false}) {
@@ -169,7 +166,7 @@ TEST(TraceV3, DetectsFlippedByte) {
 TEST(TraceV3, ReadsV1AndV2Unchanged) {
   // v2: the default SaveTrace output, byte-for-byte.
   const Trace original = BigTrace(2'000);
-  const std::string v2_path = TempPath("v3_compat_v2.trc");
+  const std::string v2_path = TestTempPath("v3_compat_v2.trc");
   ASSERT_TRUE(SaveTrace(v2_path, original).ok());
   {
     std::stringstream buf;
@@ -185,7 +182,7 @@ TEST(TraceV3, ReadsV1AndV2Unchanged) {
   // v1: hand-encoded magic + header without a record count.
   const std::string v1 =
       std::string("BSDTRC1\n") + '\x01' + 'm' + '\x00' + '\x00';
-  const std::string v1_path = TempPath("v3_compat_v1.trc");
+  const std::string v1_path = TestTempPath("v3_compat_v1.trc");
   WriteFileBytes(v1_path, v1);
   TraceFileReader v1_reader(v1_path);
   ASSERT_TRUE(v1_reader.status().ok()) << v1_reader.status().message();
@@ -197,7 +194,7 @@ TEST(TraceV3, ReadsV1AndV2Unchanged) {
 
 TEST(TraceV3, IostreamReaderRejectsV3) {
   const Trace original = BigTrace(100);
-  const std::string path = TempPath("v3_iostream.trc");
+  const std::string path = TestTempPath("v3_iostream.trc");
   ASSERT_TRUE(SaveTrace(path, original, SmallBlocks()).ok());
   std::stringstream buf(ReadFileBytes(path));
   auto loaded = ReadBinaryTrace(buf);
@@ -207,7 +204,7 @@ TEST(TraceV3, IostreamReaderRejectsV3) {
 
 TEST(SeekableTraceSource, CursorsCoverTheWholeFile) {
   const Trace original = BigTrace();
-  const std::string path = TempPath("v3_seekable.trc");
+  const std::string path = TestTempPath("v3_seekable.trc");
   ASSERT_TRUE(SaveTrace(path, original, SmallBlocks()).ok());
 
   SeekableTraceSource seekable(path);
@@ -262,7 +259,7 @@ TEST(SeekableTraceSource, CursorsCoverTheWholeFile) {
 
 TEST(SeekableTraceSource, V2FileHasNoIndexButOpens) {
   const Trace original = BigTrace(500);
-  const std::string path = TempPath("v3_seekable_v2.trc");
+  const std::string path = TestTempPath("v3_seekable_v2.trc");
   ASSERT_TRUE(SaveTrace(path, original).ok());
   SeekableTraceSource seekable(path);
   EXPECT_TRUE(seekable.status().ok()) << seekable.status().message();
@@ -272,7 +269,7 @@ TEST(SeekableTraceSource, V2FileHasNoIndexButOpens) {
 
 TEST(SeekableTraceSource, IndexlessV3StillReadsSequentially) {
   const Trace original = BigTrace(500);
-  const std::string path = TempPath("v3_noindex.trc");
+  const std::string path = TestTempPath("v3_noindex.trc");
   TraceWriterOptions options = SmallBlocks();
   options.write_index = false;
   ASSERT_TRUE(SaveTrace(path, original, options).ok());
@@ -289,7 +286,7 @@ TEST(SeekableTraceSource, IndexlessV3StillReadsSequentially) {
 
 TEST(SeekableTraceSource, CorruptFooterIsReported) {
   const Trace original = BigTrace(500);
-  const std::string path = TempPath("v3_badfooter.trc");
+  const std::string path = TestTempPath("v3_badfooter.trc");
   ASSERT_TRUE(SaveTrace(path, original, SmallBlocks()).ok());
   std::string bytes = ReadFileBytes(path);
   // Point the tail's footer offset past the end of the file.

@@ -9,21 +9,16 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/validate.h"
 #include "src/util/rng.h"
+#include "tests/testing/temp_dir.h"
 
 namespace bsdtrace {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -133,7 +128,7 @@ Trace AdversarialTrace(uint64_t seed, size_t n = 4'000) {
 
 void ExpectRoundTrip(const Trace& original, const TraceWriterOptions& options,
                      const std::string& name) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   ASSERT_TRUE(SaveTrace(path, original, options).ok());
   for (const bool prefer_mmap : {true, false}) {
     TraceFileReader reader(path, prefer_mmap);
@@ -157,8 +152,8 @@ TEST(TraceV4, WellFormedTraceRoundTripsCompressed) {
 
 TEST(TraceV4, WellFormedTraceActuallyCompresses) {
   const Trace t = WellFormedTrace();
-  const std::string v3_path = TempPath("v4_ratio_v3.trc");
-  const std::string v4_path = TempPath("v4_ratio_v4.trc");
+  const std::string v3_path = TestTempPath("v4_ratio_v3.trc");
+  const std::string v4_path = TestTempPath("v4_ratio_v4.trc");
   TraceWriterOptions v3;
   v3.version = 3;
   ASSERT_TRUE(SaveTrace(v3_path, t, v3).ok());
@@ -179,7 +174,7 @@ TEST(TraceV4, AdversarialTracesRoundTripExactly) {
 
 TEST(TraceV4, EmptyTraceRoundTrips) {
   Trace empty(TraceHeader{.machine = "m", .description = ""});
-  const std::string path = TempPath("v4_empty.trc");
+  const std::string path = TestTempPath("v4_empty.trc");
   ASSERT_TRUE(SaveTrace(path, empty, V4()).ok());
   auto loaded = LoadTrace(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -192,7 +187,7 @@ TEST(TraceV4, AllVersionsLoadTheSameRecords) {
     TraceWriterOptions options;
     options.version = version;
     options.codec = TraceCodec::kLz;
-    const std::string path = TempPath("v4_compat_" + std::to_string(version) + ".trc");
+    const std::string path = TestTempPath("v4_compat_" + std::to_string(version) + ".trc");
     ASSERT_TRUE(SaveTrace(path, original, options).ok());
     TraceFileReader reader(path);
     ASSERT_TRUE(reader.status().ok());
@@ -208,7 +203,7 @@ TEST(TraceV4, StoredCodecBlocksReadBack) {
   // 0) must read back exactly — it is also what the writer's fallback emits
   // for a block the codec fails to shrink.
   const Trace t = AdversarialTrace(9, 6'000);
-  const std::string path = TempPath("v4_stored.trc");
+  const std::string path = TestTempPath("v4_stored.trc");
   ASSERT_TRUE(SaveTrace(path, t, V4(16 * 1024, TraceCodec::kNone)).ok());
   TraceFileReader reader(path);
   ASSERT_TRUE(reader.status().ok());
@@ -227,7 +222,7 @@ TEST(TraceV4, StoredCodecBlocksReadBack) {
 
 TEST(TraceV4, SeekableCursorsStartAtAnyBlock) {
   const Trace original = WellFormedTrace(8'000);
-  const std::string path = TempPath("v4_seek.trc");
+  const std::string path = TestTempPath("v4_seek.trc");
   ASSERT_TRUE(SaveTrace(path, original, V4(4 * 1024)).ok());
   SeekableTraceSource seekable(path);
   ASSERT_TRUE(seekable.status().ok()) << seekable.status().message();
@@ -253,7 +248,7 @@ TEST(TraceV4, SeekableCursorsStartAtAnyBlock) {
 
 TEST(TraceV4, FlippedStoredByteFailsCleanly) {
   const Trace original = WellFormedTrace(8'000);
-  const std::string path = TempPath("v4_corrupt.trc");
+  const std::string path = TestTempPath("v4_corrupt.trc");
   std::vector<TraceBlockIndexEntry> index;
   {
     TraceFileWriter writer(path, original.header(), static_cast<int64_t>(original.size()),
@@ -269,7 +264,7 @@ TEST(TraceV4, FlippedStoredByteFailsCleanly) {
   std::string bytes = ReadFileBytes(path);
   const size_t victim = (index[1].offset + index[2].offset) / 2;
   bytes[victim] = static_cast<char>(bytes[victim] ^ 0x10);
-  const std::string bad = TempPath("v4_corrupt_flipped.trc");
+  const std::string bad = TestTempPath("v4_corrupt_flipped.trc");
   WriteFileBytes(bad, bytes);
 
   TraceFileReader reader(bad);
@@ -289,14 +284,14 @@ TEST(TraceV4, FlippedStoredByteFailsCleanly) {
 
 TEST(TraceV4, TruncatedFileFailsCleanly) {
   const Trace original = WellFormedTrace(4'000);
-  const std::string path = TempPath("v4_trunc.trc");
+  const std::string path = TestTempPath("v4_trunc.trc");
   ASSERT_TRUE(SaveTrace(path, original, V4(8 * 1024)).ok());
   const std::string bytes = ReadFileBytes(path);
   Rng rng(3);
   for (int i = 0; i < 16; ++i) {
     const size_t cut =
         static_cast<size_t>(rng.UniformInt(9, static_cast<int64_t>(bytes.size()) - 2));
-    const std::string cut_path = TempPath("v4_trunc_cut.trc");
+    const std::string cut_path = TestTempPath("v4_trunc_cut.trc");
     WriteFileBytes(cut_path, bytes.substr(0, cut));
     EXPECT_FALSE(CheckTraceFile(cut_path).status.ok()) << "cut at " << cut;
   }
@@ -304,7 +299,7 @@ TEST(TraceV4, TruncatedFileFailsCleanly) {
 
 TEST(TraceV4, CheckReportsCompressionCounters) {
   const Trace original = WellFormedTrace(6'000);
-  const std::string path = TempPath("v4_counters.trc");
+  const std::string path = TestTempPath("v4_counters.trc");
   ASSERT_TRUE(SaveTrace(path, original, V4()).ok());
   const TraceFileCheck check = CheckTraceFile(path);
   ASSERT_TRUE(check.status.ok()) << check.status.message();

@@ -9,22 +9,17 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include "src/trace/trace_io.h"
 #include "src/workload/fleet.h"
 #include "src/workload/sharded_generator.h"
+#include "tests/testing/temp_dir.h"
 
 namespace bsdtrace {
 namespace {
 
 using internal::PlanWaves;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -84,14 +79,14 @@ TEST(FleetWaves, WavedFileIsByteIdenticalToSingleWave) {
   auto fleet = ParseFleetSpec("4xA5", /*users=*/40);
   ASSERT_TRUE(fleet.ok()) << fleet.status().message();
 
-  const std::string single_path = TempPath("wave_single.trc");
+  const std::string single_path = TestTempPath("wave_single.trc");
   auto single = GenerateFleetToFile(fleet.value(), WaveOptions(0), single_path);
   ASSERT_TRUE(single.ok()) << single.status().message();
   EXPECT_EQ(single.value().waves, 1u);
   EXPECT_EQ(single.value().wave_bytes_written, 0u);
 
   // 40 users per instance, bound 80: two waves of two instances each.
-  const std::string waved_path = TempPath("wave_waved.trc");
+  const std::string waved_path = TestTempPath("wave_waved.trc");
   auto waved = GenerateFleetToFile(fleet.value(), WaveOptions(80), waved_path);
   ASSERT_TRUE(waved.ok()) << waved.status().message();
   EXPECT_EQ(waved.value().waves, 2u);
@@ -106,12 +101,12 @@ TEST(FleetWaves, WaveOfOneInstanceEachStillMatches) {
   auto fleet = ParseFleetSpec("2xA5+E3", /*users=*/30);
   ASSERT_TRUE(fleet.ok()) << fleet.status().message();
 
-  const std::string single_path = TempPath("wave1_single.trc");
+  const std::string single_path = TestTempPath("wave1_single.trc");
   auto single = GenerateFleetToFile(fleet.value(), WaveOptions(0), single_path);
   ASSERT_TRUE(single.ok()) << single.status().message();
 
   // Bound below any instance population: every instance is its own wave.
-  const std::string waved_path = TempPath("wave1_waved.trc");
+  const std::string waved_path = TestTempPath("wave1_waved.trc");
   auto waved = GenerateFleetToFile(fleet.value(), WaveOptions(1), waved_path);
   ASSERT_TRUE(waved.ok()) << waved.status().message();
   EXPECT_EQ(waved.value().waves, 3u);
@@ -121,7 +116,7 @@ TEST(FleetWaves, WaveOfOneInstanceEachStillMatches) {
 TEST(FleetWaves, WavedV4FileRoundTripsAndCompresses) {
   auto fleet = ParseFleetSpec("3xA5", /*users=*/30);
   ASSERT_TRUE(fleet.ok()) << fleet.status().message();
-  const std::string path = TempPath("wave_check.trc");
+  const std::string path = TestTempPath("wave_check.trc");
   auto stats = GenerateFleetToFile(fleet.value(), WaveOptions(35), path);
   ASSERT_TRUE(stats.ok()) << stats.status().message();
   ASSERT_GT(stats.value().waves, 1u);
