@@ -1,6 +1,7 @@
 #include "src/analysis/activity.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 
 namespace bsdtrace {
@@ -9,9 +10,9 @@ namespace {
 
 // Intervals [from, to) saw no event: zero active users each.
 void AddEmptyIntervals(int64_t from, int64_t to, IntervalActivity* out) {
-  for (int64_t i = from; i < to; ++i) {
-    out->active_users.Add(0.0);
-    out->intervals += 1;
+  if (to > from) {
+    out->active_users.AddZeros(to - from);
+    out->intervals += static_cast<uint64_t>(to - from);
   }
 }
 
@@ -31,22 +32,37 @@ void FoldInterval(const UserInterval& interval, Duration length, IntervalActivit
   out->intervals += 1;
 }
 
+// Folds `interval` after the one at *prev, counting the gap between them.
+void FoldAfter(const UserInterval& interval, Duration length, int64_t* prev,
+               IntervalActivity* out) {
+  AddEmptyIntervals(*prev + 1, interval.index, out);
+  FoldInterval(interval, length, out);
+  *prev = interval.index;
+}
+
 }  // namespace
 
 // -- ActivityWindowSegment ----------------------------------------------------
 
 void ActivityWindowSegment::Merge(const ActivityWindowSegment& other) {
+  assert(other.folded.intervals == 0);
   MergeIntervals(&intervals, other.intervals);
 }
 
+void ActivityWindowSegment::FoldBefore(int64_t index) {
+  auto end = intervals.begin();
+  while (end != intervals.end() && end->index < index) {
+    FoldAfter(*end, length, &last_folded, &folded);
+    ++end;
+  }
+  intervals.erase(intervals.begin(), end);
+}
+
 IntervalActivity ActivityWindowSegment::Finalize() const {
-  IntervalActivity out;
-  out.interval_length = length;
-  int64_t prev = -1;
+  IntervalActivity out = folded;
+  int64_t prev = last_folded;
   for (const UserInterval& interval : intervals) {
-    AddEmptyIntervals(prev + 1, interval.index, &out);
-    FoldInterval(interval, length, &out);
-    prev = interval.index;
+    FoldAfter(interval, length, &prev, &out);
   }
   return out;
 }
@@ -63,6 +79,11 @@ void ActivitySegment::Merge(const ActivitySegment& other) {
   users_seen = std::move(users);
   total_bytes += other.total_bytes;
   last_time = std::max(last_time, other.last_time);
+}
+
+void ActivitySegment::FoldBefore(SimTime frontier) {
+  ten_minute.FoldBefore(frontier.micros() / ten_minute.length.micros());
+  ten_second.FoldBefore(frontier.micros() / ten_second.length.micros());
 }
 
 ActivityStats ActivitySegment::Finalize() const {

@@ -51,17 +51,28 @@ struct ActivityStats {
   IntervalActivity ten_second;
 };
 
-// The closed intervals of one window length, ascending by index.  Merge is
-// an exact sorted-vector union, so segments combine in any grouping.
+// The closed intervals of one window length.  `intervals` ascend by index;
+// Merge is an exact sorted-vector union, so segments combine in any
+// grouping.  A long-lived reduction (the segment stitcher) folds the
+// intervals no later record can reach into `folded` once and frees them, so
+// finalizing its prefix costs only the intervals still open.
 struct ActivityWindowSegment {
-  explicit ActivityWindowSegment(Duration length) : length(length) {}
+  explicit ActivityWindowSegment(Duration length) : length(length) {
+    folded.interval_length = length;
+  }
 
   Duration length;
-  std::vector<UserInterval> intervals;
+  std::vector<UserInterval> intervals;  // not yet folded
+  IntervalActivity folded;              // every interval before `intervals`
+  int64_t last_folded = -1;             // index of the last folded interval
 
+  // Unites other's intervals into ours; other must have folded none.
   void Merge(const ActivityWindowSegment& other);
-  // Folds the intervals in ascending index order, counting the gaps as
-  // intervals with zero active users, exactly as the streaming window does.
+  // Folds and frees the intervals with index < `index`.
+  void FoldBefore(int64_t index);
+  // `folded`, then the remaining intervals in ascending index order, the
+  // gaps counted as intervals with zero active users, exactly as the
+  // streaming window does.
   IntervalActivity Finalize() const;
 };
 
@@ -74,6 +85,9 @@ struct ActivitySegment {
   SimTime last_time;
 
   void Merge(const ActivitySegment& other);
+  // Folds the intervals before the one holding `frontier`: the caller
+  // promises every later touch is at or after it.
+  void FoldBefore(SimTime frontier);
   ActivityStats Finalize() const;
 };
 

@@ -92,7 +92,9 @@ struct AnalyzeOptions {
   Duration snapshot_interval = Duration::Zero();
   // Called once per crossed boundary, in boundary order, from the analyzing
   // thread.  The SimTime argument is the boundary the snapshot covers up to
-  // (records with time >= boundary are not included).
+  // (records with time >= boundary are not included).  The analysis is
+  // shared with the analyzer, not copied: the reference is valid only during
+  // the call, so copy it to keep it.
   std::function<void(const TraceAnalysis&, SimTime)> on_snapshot;
 
   // -- Validation -------------------------------------------------------

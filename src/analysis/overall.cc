@@ -16,6 +16,15 @@ void OverallStats::Merge(const OverallStats& other) {
   inter_event_interval_seconds.Merge(other.inter_event_interval_seconds);
 }
 
+void OverallStats::AddTransfer(const Transfer& t) {
+  bytes_transferred += t.length;
+  if (t.direction == TransferDirection::kRead) {
+    bytes_read += t.length;
+  } else {
+    bytes_written += t.length;
+  }
+}
+
 void OverallStatsCollector::OnRecord(const TraceRecord& r) {
   ++stats_.total_records;
   stats_.count_by_type[static_cast<size_t>(r.type)] += 1;
@@ -50,14 +59,7 @@ void OverallStatsCollector::OnRecord(const TraceRecord& r) {
   }
 }
 
-void OverallStatsCollector::OnTransfer(const Transfer& t) {
-  stats_.bytes_transferred += t.length;
-  if (t.direction == TransferDirection::kRead) {
-    stats_.bytes_read += t.length;
-  } else {
-    stats_.bytes_written += t.length;
-  }
-}
+void OverallStatsCollector::OnTransfer(const Transfer& t) { stats_.AddTransfer(t); }
 
 OverallStats OverallStatsCollector::Take() {
   stats_.duration = last_time_ - SimTime::Origin();

@@ -35,6 +35,8 @@ struct OverallStats {
                : 0.0;
   }
 
+  // Counts the bytes of one reconstructed transfer.
+  void AddTransfer(const Transfer& transfer);
   // Absorbs another segment's statistics (parallel reduction): counters sum,
   // duration takes the max, the interval CDF takes the union of samples.
   void Merge(const OverallStats& other);

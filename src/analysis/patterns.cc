@@ -2,19 +2,27 @@
 
 namespace bsdtrace {
 
-void PatternsCollector::OnTransfer(const Transfer& t) {
+void RunLengthStats::Add(const Transfer& t) {
   const auto len = static_cast<double>(t.length);
-  runs_.by_runs.Add(len);
-  runs_.by_bytes.Add(len, len);
+  by_runs.Add(len);
+  by_bytes.Add(len, len);
 }
 
-void PatternsCollector::OnAccess(const AccessSummary& a) {
+void FileSizeStats::Add(const AccessSummary& a) {
   const auto size = static_cast<double>(a.size_at_close);
-  sizes_.by_accesses.Add(size);
+  by_accesses.Add(size);
   if (a.bytes_transferred > 0) {
-    sizes_.by_bytes.Add(size, static_cast<double>(a.bytes_transferred));
+    by_bytes.Add(size, static_cast<double>(a.bytes_transferred));
   }
-  open_times_.seconds.Add(a.open_duration().seconds());
+}
+
+void OpenTimeStats::Add(const AccessSummary& a) { seconds.Add(a.open_duration().seconds()); }
+
+void PatternsCollector::OnTransfer(const Transfer& t) { runs_.Add(t); }
+
+void PatternsCollector::OnAccess(const AccessSummary& a) {
+  sizes_.Add(a);
+  open_times_.Add(a);
 }
 
 }  // namespace bsdtrace

@@ -16,6 +16,8 @@ struct RunLengthStats {
   // (b) weighted by bytes transferred in the run.
   WeightedCdf by_bytes;
 
+  // The run one transfer contributes.
+  void Add(const Transfer& transfer);
   void Merge(const RunLengthStats& other) {
     by_runs.Merge(other.by_runs);
     by_bytes.Merge(other.by_bytes);
@@ -29,6 +31,8 @@ struct FileSizeStats {
   // (b) weighted by bytes transferred during the access.
   WeightedCdf by_bytes;
 
+  // The size at close of one completed access.
+  void Add(const AccessSummary& access);
   void Merge(const FileSizeStats& other) {
     by_accesses.Merge(other.by_accesses);
     by_bytes.Merge(other.by_bytes);
@@ -39,6 +43,8 @@ struct FileSizeStats {
 struct OpenTimeStats {
   WeightedCdf seconds;
 
+  // How long one completed access stayed open.
+  void Add(const AccessSummary& access);
   void Merge(const OpenTimeStats& other) { seconds.Merge(other.seconds); }
 };
 

@@ -1,17 +1,44 @@
 #include "src/analysis/per_user_activity.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace bsdtrace {
 
 // -- PerUserSegment -----------------------------------------------------------
 
+namespace {
+
+// Folds one day's active-user count after the day at *prev.  Days between
+// the first and last touched day with no activity at all count as
+// zero-active days, matching the Table IV gap-fill convention.
+void FoldDay(const UserInterval& day, std::optional<int64_t>* prev, RunningStats* out) {
+  if (prev->has_value()) {
+    out->AddZeros(day.index - **prev - 1);
+  }
+  out->Add(static_cast<double>(day.active.size()));
+  *prev = day.index;
+}
+
+}  // namespace
+
 void PerUserSegment::Merge(const PerUserSegment& other) {
+  assert(!other.last_folded_day.has_value());
   users = MergeById(users, other.users, [](const PerUserTotals& a, const PerUserTotals& b) {
     return PerUserTotals{.records = a.records + b.records, .bytes = a.bytes + b.bytes};
   });
   MergeIntervals(&daily_active, other.daily_active);
   last_time = std::max(last_time, other.last_time);
+}
+
+void PerUserSegment::FoldBefore(SimTime frontier) {
+  const int64_t day = frontier.micros() / Duration::Hours(24).micros();
+  auto end = daily_active.begin();
+  while (end != daily_active.end() && end->index < day) {
+    FoldDay(*end, &last_folded_day, &folded_days);
+    ++end;
+  }
+  daily_active.erase(daily_active.begin(), end);
 }
 
 PerUserActivityStats PerUserSegment::Finalize() const {
@@ -26,15 +53,10 @@ PerUserActivityStats PerUserSegment::Finalize() const {
       stats.records_per_user_day.Add(static_cast<double>(totals.records) / stats.days);
     }
   }
-  // Days between the first and last touched day with no activity at all
-  // count as zero-active days, matching the Table IV gap-fill convention.
-  for (size_t i = 0; i < daily_active.size(); ++i) {
-    if (i > 0) {
-      for (int64_t day = daily_active[i - 1].index + 1; day < daily_active[i].index; ++day) {
-        stats.active_users_per_day.Add(0.0);
-      }
-    }
-    stats.active_users_per_day.Add(static_cast<double>(daily_active[i].active.size()));
+  stats.active_users_per_day = folded_days;
+  std::optional<int64_t> prev = last_folded_day;
+  for (const UserInterval& day : daily_active) {
+    FoldDay(day, &prev, &stats.active_users_per_day);
   }
   return stats;
 }

@@ -24,6 +24,7 @@
 #define BSDTRACE_SRC_ANALYSIS_PER_USER_ACTIVITY_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,13 +64,23 @@ struct PerUserActivityStats {
 
 // Order-free per-segment summary: pure integer counts and id lists, so Merge
 // is exact and Finalize is a deterministic function of the merged content.
+// As with ActivityWindowSegment, a long-lived reduction folds the days no
+// later record can reach once and frees them.
 struct PerUserSegment {
   std::vector<std::pair<UserId, PerUserTotals>> users;  // ascending id
-  // Ascending day index; each day's `active` users (no bytes).
+  // Ascending day index; each day's `active` users (no bytes).  Not yet
+  // folded.
   std::vector<UserInterval> daily_active;
+  // The daily active-user counts of every day before `daily_active`.
+  RunningStats folded_days;
+  std::optional<int64_t> last_folded_day;
   SimTime last_time;
 
+  // Other must have folded no day.
   void Merge(const PerUserSegment& other);
+  // Folds and frees the days before the one holding `frontier`: the caller
+  // promises every later touch is at or after it.
+  void FoldBefore(SimTime frontier);
   PerUserActivityStats Finalize() const;
 };
 

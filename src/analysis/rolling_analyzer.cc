@@ -22,17 +22,25 @@ void RollingAnalyzer::Process(const TraceRecord& record) {
   if (record.time >= next_boundary_) {
     // The records seen so far all precede the boundary; close their segment
     // once, then publish a snapshot per crossed boundary (idle intervals
-    // re-publish the same prefix).
+    // re-publish the same prefix).  With no callback nothing is built and
+    // the crossed boundaries are only counted.
     CloseSegment();
-    TraceAnalysis snapshot = stitcher_.Snapshot();
-    snapshot.mode = AnalyzeMode::kLive;
-    snapshot.segments_used = stitcher_.segments();
-    while (record.time >= next_boundary_) {
-      ++snapshots_;
-      if (callback_) {
+    if (callback_) {
+      const TraceAnalysis& snapshot = stitcher_.Snapshot();
+      while (record.time >= next_boundary_) {
+        ++snapshots_;
         callback_(snapshot, next_boundary_);
+        next_boundary_ += interval_;
       }
-      next_boundary_ += interval_;
+    } else {
+      // Past the last representable boundary (a hostile timestamp near the
+      // end of time) the next one saturates instead of overflowing.
+      const int64_t step = interval_.micros();
+      const int64_t crossed = (record.time - next_boundary_).micros() / step + 1;
+      snapshots_ += static_cast<uint64_t>(crossed);
+      next_boundary_ = crossed > (SimTime::Max() - next_boundary_).micros() / step
+                           ? SimTime::Max()
+                           : next_boundary_ + Duration::Micros(crossed * step);
     }
   }
   segment_->Process(record);
@@ -43,7 +51,6 @@ TraceAnalysis RollingAnalyzer::Finish() {
   stitcher_.Add(segment_->Take());
   TraceAnalysis result = stitcher_.Finish();
   result.mode = AnalyzeMode::kLive;
-  result.segments_used = stitcher_.segments();
   return result;
 }
 

@@ -9,7 +9,8 @@
 // snapshot is the stitcher's finalized prefix state, so it is bit-identical
 // to a batch Analyze of exactly the records before the boundary — the
 // correctness gate of the live pipeline (rolling_analyzer_test,
-// bench_live_serve).
+// bench_live_serve).  The stitcher keeps that state folded as it goes, so a
+// snapshot costs the last interval's records plus the users, not the prefix.
 //
 // Single-threaded: one RollingAnalyzer is driven by one consumer thread
 // (typically draining a RingTraceSource).  Concurrency lives in the ring,
@@ -34,10 +35,13 @@ class RollingAnalyzer {
   // time < boundary) and the boundary itself.  An interval with no records
   // still publishes — the snapshot simply equals the previous one — so a
   // dashboard ticks every simulated hour even when the machine idles.
+  // The analysis is the stitcher's own object, handed over without a copy:
+  // the reference is valid only during the call, so copy the analysis to
+  // keep it.  Queries on it (which sort its CDFs in place) are fine.
   using SnapshotCallback = std::function<void(const TraceAnalysis&, SimTime)>;
 
-  // interval must be positive.  callback may be empty (snapshots are then
-  // only counted, which the tests use to probe boundary bookkeeping).
+  // interval must be positive.  callback may be empty: no snapshot is then
+  // built, and crossed boundaries are only counted (in O(1) however many).
   explicit RollingAnalyzer(Duration interval, SnapshotCallback callback = nullptr);
 
   // Feeds one record; records must arrive in non-decreasing time order.

@@ -87,18 +87,16 @@ struct CarriedIncarnation {
 };
 
 // Receives the carried reconstructor's output while the stitcher replays
-// orphan records.  Record-level bookkeeping (event counts, activity touches,
-// inter-event samples) is handled by the stitch loop itself — the segments
-// already counted the records — so OnRecord is deliberately a no-op.
+// orphan records.  Transfers and completed accesses are final items, so they
+// go straight into the published analysis.  Record-level bookkeeping (event
+// counts, activity touches, inter-event samples) is handled by the stitch
+// loop itself — the segments already counted the records — so OnRecord is
+// deliberately a no-op.
 class StitchSink : public ReconstructionSink {
  public:
-  StitchSink(OverallStats* overall_extra, PatternsCollector* patterns,
-             SequentialityCollector* sequentiality,
+  StitchSink(TraceAnalysis* published,
              std::unordered_map<FileId, CarriedIncarnation>* carried_live)
-      : overall_extra_(overall_extra),
-        patterns_(patterns),
-        sequentiality_(sequentiality),
-        carried_live_(carried_live) {}
+      : published_(published), carried_live_(carried_live) {}
 
   // The segment being absorbed, and the collectors that count its orphans'
   // activity.
@@ -111,13 +109,8 @@ class StitchSink : public ReconstructionSink {
   void set_tag(LifetimeOrphanTag tag) { tag_ = tag; }
 
   void OnTransfer(const Transfer& t) override {
-    overall_extra_->bytes_transferred += t.length;
-    if (t.direction == TransferDirection::kRead) {
-      overall_extra_->bytes_read += t.length;
-    } else {
-      overall_extra_->bytes_written += t.length;
-    }
-    patterns_->OnTransfer(t);
+    published_->overall.AddTransfer(t);
+    published_->runs.Add(t);
     activity_->OnTransfer(t);
     per_user_->OnTransfer(t);
     if (t.direction == TransferDirection::kWrite) {
@@ -139,14 +132,13 @@ class StitchSink : public ReconstructionSink {
   }
 
   void OnAccess(const AccessSummary& a) override {
-    sequentiality_->OnAccess(a);
-    patterns_->OnAccess(a);
+    published_->sequentiality.Add(a);
+    published_->file_sizes.Add(a);
+    published_->open_times.Add(a);
   }
 
  private:
-  OverallStats* overall_extra_;
-  PatternsCollector* patterns_;
-  SequentialityCollector* sequentiality_;
+  TraceAnalysis* published_;
   std::unordered_map<FileId, CarriedIncarnation>* carried_live_;
   LifetimeSegment* lifetimes_ = nullptr;
   ActivityCollector* activity_ = nullptr;
@@ -167,29 +159,23 @@ void EmitLifetimeSample(LifetimeStats* stats, SimTime birth, SimTime death,
 }  // namespace
 
 struct SegmentStitcher::Impl {
-  Impl()
-      : sink(&overall_extra, &patterns, &sequentiality, &carried_live),
-        reconstructor(&sink) {}
+  Impl() : sink(&published, &carried_live), reconstructor(&sink) {}
 
-  // Merged order-free partials of the segments absorbed so far.
-  TraceAnalysis partial;
-  // Stitch-side extras: bytes + samples recovered from orphan replays, and
-  // lifetime samples completed at boundaries.
-  OverallStats overall_extra;
-  PatternsCollector patterns;
-  SequentialityCollector sequentiality;
+  // The prefix analysis: the merged order-free partials of the segments
+  // absorbed so far, the orphan replays' output and the lifetime samples
+  // completed at boundaries.  Finalize refreshes its Table IV and Table I
+  // parts from the two running states below.
+  TraceAnalysis published;
   ActivitySegment activity;
   PerUserSegment per_user;
   std::unordered_map<FileId, CarriedIncarnation> carried_live;
   std::unordered_map<OpenId, SimTime> carried_last_event;
-  LifetimeStats lifetime_extra;
   StitchSink sink;
   AccessReconstructor reconstructor;
   size_t segments = 0;
 
   void Add(SegmentResult&& seg);
-  TraceAnalysis Snapshot() const;
-  TraceAnalysis Finish();
+  void Finalize();
 };
 
 void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
@@ -207,7 +193,7 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
     const UserId user = open != nullptr ? open->summary.user_id : r.user_id;
     auto last = carried_last_event.find(r.open_id);
     if (last != carried_last_event.end()) {
-      overall_extra.inter_event_interval_seconds.Add((r.time - last->second).seconds());
+      published.overall.inter_event_interval_seconds.Add((r.time - last->second).seconds());
       if (r.type == EventType::kSeek) {
         last->second = r.time;
       } else {
@@ -238,7 +224,7 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
     if (it != carried_live.end()) {
       it->second.bytes += fb.pre_bytes;
       if (fb.has_event) {
-        EmitLifetimeSample(&lifetime_extra, it->second.birth, fb.first_event_time,
+        EmitLifetimeSample(&published.lifetimes, it->second.birth, fb.first_event_time,
                            it->second.bytes);
         carried_live.erase(it);
       }
@@ -251,60 +237,56 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
   }
   for (const LifetimeSegment::Slot& slot : seg.lifetimes.slots) {
     if (slot.dead && slot.marked) {
-      EmitLifetimeSample(&lifetime_extra, slot.birth, slot.death, slot.bytes);
+      EmitLifetimeSample(&published.lifetimes, slot.birth, slot.death, slot.bytes);
     }
   }
 
   // 4. Merge the order-free partials.
-  partial.overall.Merge(seg.overall);
+  published.overall.Merge(seg.overall);
   activity.Merge(seg.activity);
   per_user.Merge(seg.per_user);
-  partial.sequentiality.Merge(seg.sequentiality);
-  partial.runs.Merge(seg.runs);
-  partial.file_sizes.Merge(seg.file_sizes);
-  partial.open_times.Merge(seg.open_times);
-  partial.lifetimes.Merge(seg.lifetimes.local);
+  published.sequentiality.Merge(seg.sequentiality);
+  published.runs.Merge(seg.runs);
+  published.file_sizes.Merge(seg.file_sizes);
+  published.open_times.Merge(seg.open_times);
+  published.lifetimes.Merge(seg.lifetimes.local);
   ++segments;
+
+  // 5. In a time-ordered stream every later record, and every orphan a
+  // later segment replays, lies at or after the last record so far: the
+  // activity intervals and days before the one holding it are final.
+  activity.FoldBefore(activity.last_time);
+  per_user.FoldBefore(activity.last_time);
 }
 
-// Finalization, shared by Snapshot (copies) and Finish (moves).  Incarnations
-// still live, opens still pending, and inter-event samples still straddling
-// are right-censored and dropped, exactly as the streaming collector treats
-// end of trace — which is what makes a boundary snapshot bit-identical to a
-// batch analysis of the prefix.
-TraceAnalysis SegmentStitcher::Impl::Snapshot() const {
-  TraceAnalysis result = partial;
-  result.overall.Merge(overall_extra);
-  result.sequentiality.Merge(SequentialityCollector(sequentiality).Take());
-  PatternsCollector patterns_copy = patterns;
-  result.runs.Merge(patterns_copy.TakeRuns());
-  result.file_sizes.Merge(patterns_copy.TakeFileSizes());
-  result.open_times.Merge(patterns_copy.TakeOpenTimes());
-  result.lifetimes.Merge(lifetime_extra);
-  result.activity = activity.Finalize();
-  result.per_user = per_user.Finalize();
-  return result;
-}
-
-TraceAnalysis SegmentStitcher::Impl::Finish() {
-  TraceAnalysis result = std::move(partial);
-  result.overall.Merge(overall_extra);
-  result.sequentiality.Merge(sequentiality.Take());
-  result.runs.Merge(patterns.TakeRuns());
-  result.file_sizes.Merge(patterns.TakeFileSizes());
-  result.open_times.Merge(patterns.TakeOpenTimes());
-  result.lifetimes.Merge(lifetime_extra);
-  result.activity = activity.Finalize();
-  result.per_user = per_user.Finalize();
-  return result;
+// The one finalization behind Snapshot and Finish.  Incarnations still live,
+// opens still pending, and inter-event samples still straddling are
+// right-censored and dropped, exactly as the streaming collector treats end
+// of trace — which is what makes a boundary snapshot bit-identical to a
+// batch analysis of the prefix.  Costs the open intervals and the user
+// count, not the prefix.
+void SegmentStitcher::Impl::Finalize() {
+  published.activity = activity.Finalize();
+  published.per_user = per_user.Finalize();
+  published.segments_used = segments;
 }
 
 SegmentStitcher::SegmentStitcher() : impl_(new Impl()) {}
 SegmentStitcher::~SegmentStitcher() = default;
 
 void SegmentStitcher::Add(SegmentResult segment) { impl_->Add(std::move(segment)); }
-TraceAnalysis SegmentStitcher::Snapshot() const { return impl_->Snapshot(); }
-TraceAnalysis SegmentStitcher::Finish() { return impl_->Finish(); }
+
+const TraceAnalysis& SegmentStitcher::Snapshot() {
+  impl_->Finalize();
+  impl_->published.mode = AnalyzeMode::kLive;
+  return impl_->published;
+}
+
+TraceAnalysis SegmentStitcher::Finish() {
+  impl_->Finalize();
+  return std::move(impl_->published);
+}
+
 size_t SegmentStitcher::segments() const { return impl_->segments; }
 
 }  // namespace bsdtrace

@@ -15,6 +15,8 @@
 //   * RollingAnalyzer closes one segment per simulated hour of a LIVE stream
 //     and stitches incrementally; Snapshot() publishes the prefix analysis
 //     at each boundary without disturbing the stitch (rolling_analyzer.h).
+//     A snapshot costs the segment just added plus the open intervals, not
+//     the prefix: the stitcher keeps the finalized prefix state itself.
 //
 // Invariant, inherited from the parallel analyzer's parity gate: after
 // stitching segments 1..k the finalized result is bit-identical to the
@@ -99,11 +101,16 @@ class SegmentCollector {
 SegmentResult RunSegment(TraceSource& cursor);
 
 // Order-dependent serial reduction over segments.  Add() absorbs segments in
-// time order; Snapshot() finalizes a copy of the current prefix state
-// (pending opens, live incarnations, and straddling inter-event samples are
-// right-censored exactly as the serial analyzer censors them at end of
-// trace); Finish() finalizes destructively.  Not copyable: the stitch owns a
-// reconstructor wired to internal sinks.
+// time order and keeps the prefix analysis itself: final items (orphan
+// replays' transfers and accesses, boundary lifetime samples) merge straight
+// into it, and the Table IV and Table I intervals no later record can reach
+// are folded once and freed.  Snapshot() refreshes what still depends on the
+// open tail (pending opens, live incarnations, and straddling inter-event
+// samples are right-censored exactly as the serial analyzer censors them at
+// end of trace) and returns the stitcher-owned analysis, in O(open intervals
+// + users) rather than O(prefix); Finish() finalizes the same way and moves
+// it out.  Not copyable: the stitch owns a reconstructor wired to internal
+// sinks.
 class SegmentStitcher {
  public:
   SegmentStitcher();
@@ -112,7 +119,9 @@ class SegmentStitcher {
   SegmentStitcher& operator=(const SegmentStitcher&) = delete;
 
   void Add(SegmentResult segment);
-  TraceAnalysis Snapshot() const;
+  // The prefix analysis (mode kLive).  The reference stays valid until the
+  // next Add or Finish, which change the object behind it.
+  const TraceAnalysis& Snapshot();
   TraceAnalysis Finish();
 
   // Segments absorbed so far.

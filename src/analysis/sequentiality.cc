@@ -29,8 +29,8 @@ double SequentialityStats::SequentialByteFraction() const {
              : 0.0;
 }
 
-void SequentialityCollector::OnAccess(const AccessSummary& a) {
-  ModeSequentiality& m = stats_.by_mode[static_cast<size_t>(a.mode)];
+void SequentialityStats::Add(const AccessSummary& a) {
+  ModeSequentiality& m = by_mode[static_cast<size_t>(a.mode)];
   m.accesses += 1;
   m.bytes += a.bytes_transferred;
   if (a.whole_file) {
@@ -42,5 +42,7 @@ void SequentialityCollector::OnAccess(const AccessSummary& a) {
     m.sequential_bytes += a.bytes_transferred;
   }
 }
+
+void SequentialityCollector::OnAccess(const AccessSummary& a) { stats_.Add(a); }
 
 }  // namespace bsdtrace

@@ -48,6 +48,8 @@ struct SequentialityStats {
   double WholeFileByteFraction() const;
   double SequentialByteFraction() const;
 
+  // Classifies one completed access.
+  void Add(const AccessSummary& access);
   // Absorbs another segment's counters (parallel reduction).
   void Merge(const SequentialityStats& other) {
     for (size_t i = 0; i < by_mode.size(); ++i) {

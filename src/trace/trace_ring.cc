@@ -1,5 +1,7 @@
 #include "src/trace/trace_ring.h"
 
+#include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace bsdtrace {
@@ -38,15 +40,17 @@ bool TraceRing::Push(const TraceRecord& record) {
       auto have_space = [this] {
         return closed_ || produce_ - consume_ < slots_.size();
       };
+      bool space = true;
+      ++producers_waiting_;
       if (push_timeout_.count() > 0) {
-        if (!not_full_.wait_for(lock, push_timeout_, have_space)) {
-          ++dropped_timeout_;
-          return false;
-        }
+        // On expiry wait_for re-checks have_space: a push is refused only if
+        // the ring is still full.
+        space = not_full_.wait_for(lock, push_timeout_, have_space);
       } else {
         not_full_.wait(lock, have_space);
       }
-      if (closed_) {
+      --producers_waiting_;
+      if (!space || closed_) {
         ++dropped_timeout_;
         return false;
       }
@@ -58,8 +62,14 @@ bool TraceRing::Push(const TraceRecord& record) {
   if (occupancy > max_occupancy_) {
     max_occupancy_ = occupancy;
   }
+  // Wake the consumer only if it sleeps on an empty ring; clearing the flag
+  // here spares the pushes that follow before it runs a notify each.
+  const bool wake = consumer_waiting_;
+  consumer_waiting_ = false;
   lock.unlock();
-  not_empty_.notify_one();
+  if (wake) {
+    not_empty_.notify_one();
+  }
   return true;
 }
 
@@ -77,17 +87,27 @@ bool TraceRing::closed() const {
   return closed_;
 }
 
-bool TraceRing::Pop(TraceRecord* record) {
+size_t TraceRing::PopBatch(TraceRecord* out, size_t max) {
+  assert(max > 0);
   std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return closed_ || produce_ != consume_; });
-  if (produce_ == consume_) {
-    return false;  // closed and drained
+  while (!closed_ && produce_ == consume_) {
+    // Set on every turn: a push clears it when it notifies.
+    consumer_waiting_ = true;
+    not_empty_.wait(lock);
   }
-  *record = slots_[consume_ & mask_];
-  ++consume_;
+  consumer_waiting_ = false;
+  const auto n = static_cast<size_t>(std::min<uint64_t>(max, produce_ - consume_));
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = slots_[(consume_ + i) & mask_];
+  }
+  consume_ += n;
+  // Blocked producers wake to half a ring of space, not to every pop.
+  const bool wake = producers_waiting_ > 0 && produce_ - consume_ <= slots_.size() / 2;
   lock.unlock();
-  not_full_.notify_one();
-  return true;
+  if (wake) {
+    not_full_.notify_all();
+  }
+  return n;  // 0: closed and drained
 }
 
 TraceRingStats TraceRing::stats() const {

@@ -23,6 +23,22 @@
 //     consumer sees a gapped but still time-ordered stream.
 // Either way every loss is visible in TraceRingStats — a live analyzer can
 // report exactly how much of the stream it missed.
+//
+// Wake protocol.  Like the devtrace reader, which sleeps only on
+// `lognonempty`, neither side pays a rendezvous per record.  A side that is
+// about to wait records that under the mutex (consumer_waiting_,
+// producers_waiting_), and the other side notifies only when someone is
+// actually waiting:
+//   * a push notifies the consumer only if it is blocked on an empty ring;
+//   * a pop notifies blocked producers only once the ring has drained to
+//     half its capacity, so a producer stalled on a full ring wakes to half a
+//     ring of space instead of to one slot per pop.  A producer with a push
+//     timeout re-checks for space when the timeout expires, so it is refused
+//     only if the ring is still full then.
+// The consumer takes records in batches (PopBatch; RingTraceSource holds up
+// to kSourceBatch of them), one lock per batch rather than per record.
+// Records in the consumer's batch are consumed: they left the ring, so under
+// kDropOldest they can no longer be overwritten.
 
 #ifndef BSDTRACE_SRC_TRACE_TRACE_RING_H_
 #define BSDTRACE_SRC_TRACE_TRACE_RING_H_
@@ -82,9 +98,12 @@ class TraceRing {
   void Close();
   bool closed() const;
 
-  // Removes the oldest record.  Blocks until a record is available or the
-  // ring is closed and drained (then returns false).  Single consumer.
-  bool Pop(TraceRecord* record);
+  // Removes up to `max` (> 0) of the oldest records into out[0..n) under one
+  // lock and returns n.  Blocks until a record is available; returns 0 once
+  // the ring is closed and drained.  Single consumer.
+  size_t PopBatch(TraceRecord* out, size_t max);
+  // Removes the oldest record: PopBatch(record, 1).
+  bool Pop(TraceRecord* record) { return PopBatch(record, 1) == 1; }
 
   TraceRingStats stats() const;
 
@@ -105,6 +124,9 @@ class TraceRing {
   uint64_t dropped_timeout_ = 0;
   uint64_t max_occupancy_ = 0;
   bool closed_ = false;
+  // Who is blocked right now (see the wake protocol above).
+  bool consumer_waiting_ = false;
+  size_t producers_waiting_ = 0;
 };
 
 // Producer face: lets anything that writes to a TraceSink — the traced
@@ -121,18 +143,34 @@ class RingTraceSink : public TraceSink {
 
 // Consumer face: a TraceSource whose Next() blocks on the live ring, so the
 // analyzers consume a running generator exactly as they consume a file.
-// Never fails: losses are a policy outcome, visible in ring->stats(), not an
-// error.
+// Next() serves a local batch that PopBatch refills, so the ring's lock is
+// taken once per batch.  Never fails: losses are a policy outcome, visible in
+// ring->stats(), not an error.
 class RingTraceSource : public TraceSource {
  public:
-  explicit RingTraceSource(TraceRing* ring) : ring_(ring) {}
+  static constexpr size_t kSourceBatch = 256;
+
+  explicit RingTraceSource(TraceRing* ring) : ring_(ring), batch_(kSourceBatch) {}
 
   const TraceHeader& header() const override { return ring_->header(); }
-  bool Next(TraceRecord* record) override { return ring_->Pop(record); }
+  bool Next(TraceRecord* record) override {
+    if (next_ == size_) {
+      size_ = ring_->PopBatch(batch_.data(), batch_.size());
+      next_ = 0;
+      if (size_ == 0) {
+        return false;
+      }
+    }
+    *record = batch_[next_++];
+    return true;
+  }
   Status status() const override { return Status::Ok(); }
 
  private:
   TraceRing* ring_;
+  std::vector<TraceRecord> batch_;
+  size_t next_ = 0;  // next record of batch_ to serve
+  size_t size_ = 0;  // records in batch_
 };
 
 }  // namespace bsdtrace

@@ -36,6 +36,18 @@ void RunningStats::Merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
+void RunningStats::AddZeros(int64_t n) {
+  const int64_t exact = std::min(n, kExactZeros);
+  for (int64_t i = 0; i < exact; ++i) {
+    Add(0.0);
+  }
+  if (n > exact) {
+    RunningStats block;  // n - exact zeros: mean, m2, min, max and sum all 0
+    block.count_ = n - exact;
+    Merge(block);
+  }
+}
+
 void WeightedCdf::Add(double value, double weight) {
   assert(weight >= 0.0);
   if (weight == 0.0) {

@@ -45,6 +45,14 @@ class RunningStats {
   // Merges another accumulator into this one (parallel reduction).
   void Merge(const RunningStats& other);
 
+  // Adds n samples of 0.0 (n <= 0 adds none).  The first kExactZeros are
+  // n calls of Add(0.0), bit for bit; the rest merge as one block of zeros
+  // in closed form, so a gap of 2^40 empty intervals costs no more than one
+  // of 2^20.  Every analysis engine fills its gaps through this one helper,
+  // so they agree bit for bit on any gap.
+  static constexpr int64_t kExactZeros = int64_t{1} << 20;
+  void AddZeros(int64_t n);
+
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;

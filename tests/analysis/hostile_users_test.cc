@@ -6,7 +6,10 @@
 // open id 0.  Serial, 4-thread parallel, rolling and one-segment-per-record
 // analysis must each equal the model, which recomputes both collectors'
 // statistics with std::set/std::map straight from the paper's definitions.
+// A record far in the future (nothing bounds record times) must not make
+// any engine fill its empty intervals one at a time.
 
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
@@ -15,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/analyzer.h"
+#include "src/analysis/parallel_analyzer.h"
 #include "src/analysis/rolling_analyzer.h"
 #include "src/analysis/segment_stitcher.h"
 #include "src/trace/reconstruct.h"
@@ -285,8 +289,7 @@ TEST(HostileUserIds, SerialParallelAndRollingMatchModel) {
   const Trace trace = HostileTrace(2600);
   const Expected model = Model(trace);
   ExpectMatches(model, AnalyzeForTest(trace), "serial");
-  // Every snapshot finalizes the whole prefix, so few of them.
-  ExpectMatches(model, Rolling(trace, Duration::Hours(24 * 30)), "rolling");
+  ExpectMatches(model, Rolling(trace, Duration::Hours(24)), "rolling");
 
   const std::string path = TestTempPath("hostile.trc");
   TraceWriterOptions writer;
@@ -301,6 +304,66 @@ TEST(HostileUserIds, SerialParallelAndRollingMatchModel) {
   EXPECT_EQ(parallel.value().mode, AnalyzeMode::kParallel);
   EXPECT_EQ(parallel.value().segments_used, 4u);
   ExpectMatches(model, parallel.value(), "parallel");
+}
+
+// Seconds `fn` takes on the wall clock.
+template <typename Fn>
+double SecondsOf(Fn fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+// The gap before a far record holds up to 2^62 us / 10 s = 4.6e11 empty
+// 10-second intervals (and, after a record at 0, 5.3e7 empty days).  Serial,
+// 4-thread and callback-less rolling analysis each finish in under a second
+// and agree bit for bit.  The one-record traces are too small to segment
+// (the parallel request runs serially); the hostile trace with a far record
+// appended splits into four segments, so the stitcher folds the gap too.
+TEST(HostileTimestamps, FarRecordsAnalyzeFastAndIdentically) {
+  const SimTime far_times[] = {SimTime::FromSeconds(1e8), SimTime::FromMicros(int64_t{1} << 62)};
+  int case_index = 0;
+  for (const SimTime far : far_times) {
+    for (const bool after_hostile : {false, true}) {
+      const std::string what = "case " + std::to_string(case_index++);
+      Trace trace = after_hostile ? HostileTrace(2600) : Trace();
+      trace.Append(MakeExecve(far, /*file=*/9, /*user=*/kMaxUser, /*size=*/4096));
+
+      TraceAnalysis serial;
+      EXPECT_LT(SecondsOf([&] { serial = AnalyzeForTest(trace); }), 1.0) << what;
+      EXPECT_EQ(serial.overall.total_records, trace.size()) << what;
+
+      const std::string path = TestTempPath("far.trc");
+      TraceWriterOptions writer;
+      writer.version = 3;
+      writer.block_target_bytes = 1024;
+      ASSERT_TRUE(SaveTrace(path, trace, writer).ok()) << what;
+      AnalyzeOptions options;
+      options.path = path;
+      options.threads = 4;
+      StatusOr<TraceAnalysis> parallel = Status::Error("not run");
+      EXPECT_LT(SecondsOf([&] { parallel = Analyze(options); }), 1.0) << what;
+      ASSERT_TRUE(parallel.ok()) << parallel.status().message();
+      EXPECT_EQ(parallel.value().mode,
+                after_hostile ? AnalyzeMode::kParallel : AnalyzeMode::kSerial)
+          << what;
+      EXPECT_TRUE(AnalysisBitIdentical(serial, parallel.value())) << what;
+
+      TraceAnalysis rolling;
+      EXPECT_LT(SecondsOf([&] { rolling = Rolling(trace, Duration::Hours(1)); }), 1.0) << what;
+      EXPECT_TRUE(AnalysisBitIdentical(serial, rolling)) << what;
+    }
+  }
+
+  // The last representable time: callback-less rolling counts every hourly
+  // boundary before it in one step, without overflowing the next boundary.
+  Trace end_of_time;
+  end_of_time.Append(MakeExecve(SimTime::Max(), /*file=*/9, /*user=*/kMaxUser, /*size=*/4096));
+  RollingAnalyzer rolling(Duration::Hours(1));
+  rolling.Process(end_of_time.records()[0]);
+  EXPECT_EQ(rolling.snapshots_published(),
+            static_cast<uint64_t>(SimTime::Max().micros() / Duration::Hours(1).micros()));
+  EXPECT_TRUE(AnalysisBitIdentical(AnalyzeForTest(end_of_time), rolling.Finish()));
 }
 
 }  // namespace

@@ -38,11 +38,30 @@ struct PublishedSnapshot {
   SimTime boundary;
 };
 
+// Queries every CDF of an analysis, which sorts its samples in place.
+void QueryEveryCdf(const TraceAnalysis& a) {
+  for (const WeightedCdf* cdf :
+       {&a.overall.inter_event_interval_seconds, &a.runs.by_runs, &a.runs.by_bytes,
+        &a.file_sizes.by_accesses, &a.file_sizes.by_bytes, &a.open_times.seconds,
+        &a.lifetimes.by_files, &a.lifetimes.by_bytes}) {
+    if (!cdf->empty()) {
+      EXPECT_GE(cdf->Quantile(0.5), cdf->MinValue());
+      EXPECT_GT(cdf->total_weight(), 0.0);
+    }
+  }
+}
+
 // Feeds the trace through a RollingAnalyzer and checks the gate at every
-// published boundary plus the final result.  Returns the snapshot count.
-uint64_t ExpectRollingMatchesBatch(const Trace& trace, Duration interval) {
+// published boundary plus the final result.  With query_cdfs the callback
+// first queries the shared snapshot's CDFs, as a dashboard would.  Returns
+// the snapshot count.
+uint64_t ExpectRollingMatchesBatch(const Trace& trace, Duration interval,
+                                   bool query_cdfs = false) {
   std::vector<PublishedSnapshot> published;
   RollingAnalyzer rolling(interval, [&](const TraceAnalysis& snapshot, SimTime boundary) {
+    if (query_cdfs) {
+      QueryEveryCdf(snapshot);
+    }
     published.push_back({snapshot, boundary});
   });
   for (const TraceRecord& r : trace.records()) {
@@ -113,6 +132,46 @@ TEST_P(RollingWorkloadParity, HourlySnapshotsBitIdenticalToBatchPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(Traces, RollingWorkloadParity,
                          ::testing::Values("A5", "E3", "C4"));
+
+// A 2-hour A5 trace with every record time multiplied by `stretch`.
+Trace StretchedTrace(int64_t stretch) {
+  GeneratorOptions options;
+  options.duration = Duration::Hours(2);
+  options.seed = 31;
+  const Trace trace = GenerateTraceOnly(ProfileA5(), options);
+  Trace stretched(trace.header());
+  for (TraceRecord r : trace.records()) {
+    r.time = SimTime::FromMicros(r.time.micros() * stretch);
+    stretched.Append(r);
+  }
+  return stretched;
+}
+
+// Snapshot intervals of 1, 7 and 90 minutes divide neither the 10-minute
+// activity window nor the day, so every snapshot folds a partly filled
+// 10-second, 10-minute and daily interval into a copy of the stitcher's
+// running state.  The trace is stretched so that each run publishes a few
+// dozen to a hundred snapshots; the 90-minute run spans 2.5 days and so
+// folds whole days too.  The callback gets the stitcher's own analysis, not
+// a copy, and queries its CDFs first, which sorts their samples in place:
+// the snapshots after it and the final result must not notice.
+class RollingIntervalParity : public ::testing::TestWithParam<std::pair<int, int64_t>> {};
+
+TEST_P(RollingIntervalParity, EverySnapshotBitIdenticalToBatchPrefix) {
+  const auto [minutes, stretch] = GetParam();
+  const Trace trace = StretchedTrace(stretch);
+  const uint64_t snapshots =
+      ExpectRollingMatchesBatch(trace, Duration::Minutes(minutes), /*query_cdfs=*/true);
+  EXPECT_GE(snapshots, static_cast<uint64_t>(100 * stretch / minutes));
+}
+
+INSTANTIATE_TEST_SUITE_P(Minutes, RollingIntervalParity,
+                         ::testing::Values(std::pair<int, int64_t>{1, 1},
+                                           std::pair<int, int64_t>{7, 4},
+                                           std::pair<int, int64_t>{90, 30}),
+                         [](const ::testing::TestParamInfo<std::pair<int, int64_t>>& info) {
+                           return "every" + std::to_string(info.param.first) + "min";
+                         });
 
 // The full live wiring: a producer thread pushes the trace into a TraceRing
 // and RollingAnalyze drains the ring's source face.  Same result as batch,

@@ -65,6 +65,44 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_EQ(b.mean(), 2.0);
 }
 
+// Up to kExactZeros, AddZeros is the per-add loop bit for bit; past it the
+// excess merges in closed form, in O(1).
+TEST(RunningStats, AddZerosExactThenClosedForm) {
+  for (const int64_t n : {int64_t{0}, int64_t{-3}, int64_t{1}, int64_t{1000},
+                          RunningStats::kExactZeros}) {
+    RunningStats loop, helper;
+    loop.Add(7.5);
+    helper.Add(7.5);
+    for (int64_t i = 0; i < n; ++i) {
+      loop.Add(0.0);
+    }
+    helper.AddZeros(n);
+    EXPECT_EQ(helper.count(), loop.count()) << n;
+    EXPECT_EQ(helper.mean(), loop.mean()) << n;
+    EXPECT_EQ(helper.variance(), loop.variance()) << n;
+    EXPECT_EQ(helper.min(), loop.min()) << n;
+    EXPECT_EQ(helper.max(), loop.max()) << n;
+  }
+
+  const int64_t huge = int64_t{1} << 50;
+  RunningStats s;
+  s.Add(3.0);
+  s.AddZeros(huge);
+  s.Add(1.0);
+  EXPECT_EQ(s.count(), huge + 2);
+  EXPECT_EQ(s.sum(), 4.0);
+  EXPECT_EQ(s.min(), 0.0);
+  EXPECT_EQ(s.max(), 3.0);
+  EXPECT_NEAR(s.mean(), 4.0 / static_cast<double>(huge), 1e-20);
+
+  RunningStats only_zeros;
+  only_zeros.AddZeros(RunningStats::kExactZeros + 5);
+  EXPECT_EQ(only_zeros.count(), RunningStats::kExactZeros + 5);
+  EXPECT_EQ(only_zeros.mean(), 0.0);
+  EXPECT_EQ(only_zeros.variance(), 0.0);
+  EXPECT_EQ(only_zeros.max(), 0.0);
+}
+
 TEST(WeightedCdf, EmptyBehaviour) {
   WeightedCdf cdf;
   EXPECT_TRUE(cdf.empty());
