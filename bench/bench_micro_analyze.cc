@@ -1,6 +1,6 @@
 // Microbench for the segmented parallel analyzer: generates the standard
 // trace straight to a v3 file (checksummed blocks + footer index), times the
-// serial streaming Analyze against the parallel Analyze engine at 2, 4, and 8
+// serial (one-segment) Analyze against the parallel Analyze engine at 2, 4, and 8
 // threads, verifies every parallel result is bit-identical to the serial
 // one, and emits one machine-readable JSON line plus a
 // BENCH_micro_analyze.json file.  Exits non-zero if parity breaks.

@@ -3,23 +3,23 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <utility>
 
 namespace bsdtrace {
 
 namespace {
 
-// Intervals [from, to) saw no event: zero active users each.
-void AddEmptyIntervals(int64_t from, int64_t to, IntervalActivity* out) {
-  if (to > from) {
-    out->active_users.AddZeros(to - from);
-    out->intervals += static_cast<uint64_t>(to - from);
+// Folds `interval` after the one at *prev into the accumulators.  Each
+// interval between them saw no event and counts as zero active users.  Then
+// come the users that moved bytes, in ascending id order, and a zero for
+// each that moved none (e.g. only an unlink).
+void FoldAfter(const UserInterval& interval, Duration length, int64_t* prev,
+               IntervalActivity* out) {
+  const int64_t gap = interval.index - (*prev + 1);
+  if (gap > 0) {
+    out->active_users.AddZeros(gap);
+    out->intervals += static_cast<uint64_t>(gap);
   }
-}
-
-// Folds one closed interval into the accumulators: the users that moved
-// bytes in ascending id order, then a zero for each that moved none (e.g.
-// only an unlink) — the order both modes share.
-void FoldInterval(const UserInterval& interval, Duration length, IntervalActivity* out) {
   const auto active = static_cast<int64_t>(interval.active.size());
   out->active_users.Add(static_cast<double>(active));
   out->max_active_users = std::max(out->max_active_users, active);
@@ -30,13 +30,6 @@ void FoldInterval(const UserInterval& interval, Duration length, IntervalActivit
     out->throughput_per_user.Add(0.0);
   }
   out->intervals += 1;
-}
-
-// Folds `interval` after the one at *prev, counting the gap between them.
-void FoldAfter(const UserInterval& interval, Duration length, int64_t* prev,
-               IntervalActivity* out) {
-  AddEmptyIntervals(*prev + 1, interval.index, out);
-  FoldInterval(interval, length, out);
   *prev = interval.index;
 }
 
@@ -44,9 +37,9 @@ void FoldAfter(const UserInterval& interval, Duration length, int64_t* prev,
 
 // -- ActivityWindowSegment ----------------------------------------------------
 
-void ActivityWindowSegment::Merge(const ActivityWindowSegment& other) {
+void ActivityWindowSegment::Merge(ActivityWindowSegment&& other) {
   assert(other.folded.intervals == 0);
-  MergeIntervals(&intervals, other.intervals);
+  MergeIntervals(&intervals, std::move(other.intervals));
 }
 
 void ActivityWindowSegment::FoldBefore(int64_t index) {
@@ -69,9 +62,9 @@ IntervalActivity ActivityWindowSegment::Finalize() const {
 
 // -- ActivitySegment ----------------------------------------------------------
 
-void ActivitySegment::Merge(const ActivitySegment& other) {
-  ten_minute.Merge(other.ten_minute);
-  ten_second.Merge(other.ten_second);
+void ActivitySegment::Merge(ActivitySegment&& other) {
+  ten_minute.Merge(std::move(other.ten_minute));
+  ten_second.Merge(std::move(other.ten_second));
   std::vector<UserId> users;
   users.reserve(users_seen.size() + other.users_seen.size());
   std::set_union(users_seen.begin(), users_seen.end(), other.users_seen.begin(),
@@ -102,20 +95,10 @@ ActivityStats ActivitySegment::Finalize() const {
 
 // -- ActivityCollector --------------------------------------------------------
 
-ActivityCollector::ActivityCollector(bool segment_mode)
-    : segment_mode_(segment_mode),
-      ten_minute_(Duration::Minutes(10)),
-      ten_second_(Duration::Seconds(10)) {}
-
 void ActivityCollector::CloseInterval(Window& w) {
   UserInterval closed = w.slots.Close(users_.ids());
-  if (closed.active.empty()) {
-    return;
-  }
-  if (segment_mode_) {
+  if (!closed.active.empty()) {
     AppendInterval(&w.segment.intervals, std::move(closed));
-  } else {
-    FoldInterval(closed, w.slots.length(), &w.result);
   }
 }
 
@@ -123,9 +106,6 @@ void ActivityCollector::Touch(Window& w, SimTime t, uint32_t slot, uint64_t byte
   const int64_t index = w.slots.IndexOf(t);
   if (index != w.slots.current()) {
     CloseInterval(w);
-    if (!segment_mode_) {
-      AddEmptyIntervals(w.slots.current() + 1, index, &w.result);
-    }
     w.slots.Open(index);
   }
   w.slots.Add(slot, bytes);
@@ -141,36 +121,15 @@ void ActivityCollector::OnRecord(const TraceRecord& r) {
   if (r.time > last_time_) {
     last_time_ = r.time;
   }
-  // In segment mode a close/seek whose open lies before this segment has no
-  // user here; the stitcher replays the record with the carried open's user.
   UserId user;
-  if (!open_users_.UserOf(r, &user) && segment_mode_) {
-    return;
+  if (open_users_.UserOf(r, &user)) {
+    Touch(r.time, user, 0);
   }
-  Touch(r.time, user, 0);
 }
 
 void ActivityCollector::OnTransfer(const Transfer& t) {
   total_bytes_ += t.length;
   Touch(t.time, t.user_id, t.length);
-}
-
-ActivityStats ActivityCollector::Take() {
-  CloseInterval(ten_minute_);
-  CloseInterval(ten_second_);
-  ActivityStats stats;
-  stats.duration = last_time_ - SimTime::Origin();
-  stats.total_bytes = total_bytes_;
-  stats.average_throughput =
-      stats.duration > Duration::Zero()
-          ? static_cast<double>(total_bytes_) / stats.duration.seconds()
-          : 0.0;
-  stats.distinct_users = users_.size();
-  ten_minute_.result.interval_length = ten_minute_.slots.length();
-  ten_second_.result.interval_length = ten_second_.slots.length();
-  stats.ten_minute = ten_minute_.result;
-  stats.ten_second = ten_second_.result;
-  return stats;
 }
 
 ActivitySegment ActivityCollector::TakeSegment() {

@@ -7,14 +7,13 @@
 // the property that 10-second intervals show fewer, burstier users than
 // 10-minute intervals.
 //
-// Two operating modes share one window type (UserWindow, user_slots.h): each
-// event marks its user's dense slot active in the current 10-minute and
-// 10-second interval.  When an interval closes, its users are sorted by id.
-// The streaming mode then folds the interval into Welford accumulators at
-// once; the segment mode (parallel and live analysis) appends the same
-// summary to an ascending list, which ActivitySegment::Merge unites across
-// segments and Finalize folds in interval order.  Both modes feed the
-// accumulators in one order, so they agree bit for bit:
+// Each event marks its user's dense slot (UserWindow, user_slots.h) active
+// in the current 10-minute and 10-second interval.  When an interval closes,
+// its users are sorted by id and the summary is appended to an ascending
+// list.  The collector runs over one segment of the trace (a serial analysis
+// is a single segment); ActivitySegment::Merge unites the lists across
+// segments, and Finalize folds them into Welford accumulators in one fixed
+// order, so every way of cutting the trace agrees bit for bit:
 //   * per interval, the users with bytes > 0 in ascending id order, then one
 //     zero for each active user that moved no bytes;
 //   * every interval from 0 up to the last touched one is counted, those
@@ -67,12 +66,11 @@ struct ActivityWindowSegment {
   int64_t last_folded = -1;             // index of the last folded interval
 
   // Unites other's intervals into ours; other must have folded none.
-  void Merge(const ActivityWindowSegment& other);
+  void Merge(ActivityWindowSegment&& other);
   // Folds and frees the intervals with index < `index`.
   void FoldBefore(int64_t index);
   // `folded`, then the remaining intervals in ascending index order, the
-  // gaps counted as intervals with zero active users, exactly as the
-  // streaming window does.
+  // gaps counted as intervals with zero active users.
   IntervalActivity Finalize() const;
 };
 
@@ -84,46 +82,41 @@ struct ActivitySegment {
   uint64_t total_bytes = 0;
   SimTime last_time;
 
-  void Merge(const ActivitySegment& other);
+  void Merge(ActivitySegment&& other);
   // Folds the intervals before the one holding `frontier`: the caller
   // promises every later touch is at or after it.
   void FoldBefore(SimTime frontier);
   ActivityStats Finalize() const;
 };
 
+// Collects one segment's ActivitySegment.  A close or seek whose open lies
+// outside the segment is skipped: its user is unknown here, and the
+// stitcher replays it with the carried open's user.
 class ActivityCollector : public ReconstructionSink {
  public:
-  // segment_mode: collect an ActivitySegment instead of streaming windows,
-  // and skip close/seek records whose open lies outside this segment (their
-  // user is unknown here; the stitcher replays them with the carried user).
-  explicit ActivityCollector(bool segment_mode = false);
-
   void OnRecord(const TraceRecord& record) override;
   void OnTransfer(const Transfer& transfer) override;
   // Marks `user` active at `t`, moving `bytes`: the stitcher's replay of a
   // record whose user only the carried open knows.
   void Touch(SimTime t, UserId user, uint64_t bytes);
 
-  ActivityStats Take();
-  // Segment-mode result (collector may not be reused).
+  // The segment's result (collector may not be reused).
   ActivitySegment TakeSegment();
 
  private:
   struct Window {
     explicit Window(Duration length) : slots(length), segment(length) {}
     UserWindow slots;
-    IntervalActivity result;        // streaming mode
-    ActivityWindowSegment segment;  // segment mode
+    ActivityWindowSegment segment;
   };
 
   void Touch(Window& w, SimTime t, uint32_t slot, uint64_t bytes);
   void CloseInterval(Window& w);
 
-  bool segment_mode_;
   UserSlots users_;
   OpenUsers open_users_;
-  Window ten_minute_;
-  Window ten_second_;
+  Window ten_minute_{Duration::Minutes(10)};
+  Window ten_second_{Duration::Seconds(10)};
   uint64_t total_bytes_ = 0;
   SimTime last_time_;
 };

@@ -1,5 +1,6 @@
-// Analyze(): the one entry point dispatching to the serial, segmented-
-// parallel, and rolling-live engines (see analyzer.h for the options).
+// Analyze(): the one entry point.  Serial, segment-parallel and rolling-live
+// analysis all run segments through the same stitcher and differ only in
+// where the segments are cut (see analyzer.h for the options).
 
 #include <memory>
 #include <thread>
@@ -63,23 +64,24 @@ StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options) {
     return file.get();
   };
 
+  // An in-memory trace is read as a stream, like any other source.
+  std::unique_ptr<TraceVectorSource> vector_source;
+  TraceSource* source = options.source;
+  if (options.trace != nullptr) {
+    vector_source = std::make_unique<TraceVectorSource>(*options.trace);
+    source = vector_source.get();
+  }
+
   if (options.snapshot_interval.micros() > 0) {
     // Rolling live analysis over any input shape, serial by construction.
-    std::unique_ptr<TraceVectorSource> vector_source;
-    TraceSource* source = options.source;
-    if (options.trace != nullptr) {
-      vector_source = std::make_unique<TraceVectorSource>(*options.trace);
-      source = vector_source.get();
-    } else if (options.seekable != nullptr) {
+    if (options.seekable != nullptr) {
       source = open_file(options.seekable->path());
     } else if (!options.path.empty()) {
       source = open_file(options.path);
     }
     result = RollingAnalyze(*source, options.snapshot_interval, options.on_snapshot);
-  } else if (options.trace != nullptr) {
-    result = internal::SerialAnalyze(*options.trace);
-  } else if (options.source != nullptr) {
-    result = internal::SerialAnalyze(*options.source);
+  } else if (source != nullptr) {
+    result = internal::SerialAnalyze(*source);
   } else {
     const unsigned threads = ResolveThreads(options.threads);
     if (options.seekable != nullptr) {

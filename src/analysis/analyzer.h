@@ -2,8 +2,9 @@
 // in-memory trace, streaming over any TraceSource (files, merges, live
 // rings), segment-parallel over an indexed on-disk trace, and rolling live
 // analysis with periodic snapshots — goes through one entry point,
-// Analyze(AnalyzeOptions).  The historical per-shape entry points remain as
-// one-line shims for out-of-tree callers.
+// Analyze(AnalyzeOptions).  All of them run the same segment collector and
+// stitcher (segment_stitcher.h); they differ only in where the segments are
+// cut.
 
 #ifndef BSDTRACE_SRC_ANALYSIS_ANALYZER_H_
 #define BSDTRACE_SRC_ANALYSIS_ANALYZER_H_
@@ -30,7 +31,7 @@ namespace bsdtrace {
 // get (e.g. threads=8 over an index-less v1 file) can now see the fallback
 // instead of silently timing the wrong engine.
 enum class AnalyzeMode : uint8_t {
-  kSerial,    // one streaming pass
+  kSerial,    // the whole stream as one segment
   kParallel,  // segment-parallel workers + stitch
   kLive,      // rolling segments with periodic snapshots
 };
@@ -119,8 +120,8 @@ StatusOr<TraceAnalysis> Analyze(const AnalyzeOptions& options);
 
 namespace internal {
 
-// Serial engine internals, used by Analyze() and the parallel fallback.
-TraceAnalysis SerialAnalyze(const Trace& trace);
+// The serial engine, used by Analyze() and the parallel fallback: the whole
+// source as one segment, stitched alone.
 StatusOr<TraceAnalysis> SerialAnalyze(TraceSource& source);
 
 }  // namespace internal

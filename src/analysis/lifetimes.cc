@@ -1,6 +1,6 @@
 #include "src/analysis/lifetimes.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace bsdtrace {
 
@@ -11,47 +11,50 @@ double LifetimeStats::FileFractionIn(double lo_seconds, double hi_seconds) const
   return by_files.FractionAtOrBelow(hi_seconds) - by_files.FractionAtOrBelow(lo_seconds);
 }
 
-LifetimeCollector::LifetimeCollector(bool segment_mode) : segment_mode_(segment_mode) {}
-
-void LifetimeCollector::Kill(FileId file, SimTime when) {
-  auto it = live_.find(file);
-  if (it == live_.end()) {
-    return;
+LifetimeCollector::FileState& LifetimeCollector::State(FileId file) {
+  if (file == kInvalidFileId) {
+    if (!invalid_file_.has_value()) {
+      invalid_file_.emplace();
+    }
+    return *invalid_file_;
   }
-  const double lifetime = (when - it->second.birth).seconds();
-  stats_.by_files.Add(lifetime);
-  if (it->second.bytes_written > 0) {
-    stats_.by_bytes.Add(lifetime, static_cast<double>(it->second.bytes_written));
-  }
-  stats_.observed_deaths += 1;
-  live_.erase(it);
+  return files_[file];
 }
 
-void LifetimeCollector::SegmentEvent(FileId file, SimTime when, bool creates) {
-  FileSegState& st = seg_files_[file];
+uint32_t LifetimeCollector::SlotOf(FileState& st) {
+  if (st.slot < 0) {
+    st.slot = static_cast<int32_t>(slots_.size());
+    slots_.push_back(LifetimeSegment::Slot{.birth = st.birth, .death = SimTime()});
+  }
+  return static_cast<uint32_t>(st.slot);
+}
+
+void LifetimeCollector::Event(FileId file, SimTime when, bool creates) {
+  FileState& st = State(file);
   if (!st.has_event) {
     // First local event: kills the carried incarnation, if the stitcher
     // finds one live at this boundary.
     st.has_event = true;
     st.first_event_time = when;
-  } else if (st.live_slot >= 0) {
-    LifetimeSegment::Slot& slot = slots_[static_cast<size_t>(st.live_slot)];
+  } else if (st.live && st.slot >= 0) {
+    // An orphan may still add bytes: the stitcher emits the sample.
+    LifetimeSegment::Slot& slot = slots_[static_cast<size_t>(st.slot)];
     slot.death = when;
+    slot.bytes = st.bytes;
     slot.dead = true;
-    if (!slot.marked) {
-      // Complete within the segment with no stitch bytes pending: emit now.
-      const double lifetime = (when - slot.birth).seconds();
-      stats_.by_files.Add(lifetime);
-      if (slot.bytes > 0) {
-        stats_.by_bytes.Add(lifetime, static_cast<double>(slot.bytes));
-      }
-      stats_.observed_deaths += 1;
+  } else if (st.live) {
+    const double lifetime = (when - st.birth).seconds();
+    stats_.by_files.Add(lifetime);
+    if (st.bytes > 0) {
+      stats_.by_bytes.Add(lifetime, static_cast<double>(st.bytes));
     }
+    stats_.observed_deaths += 1;
   }
-  st.live_slot = -1;
+  st.live = creates;
+  st.slot = -1;
   if (creates) {
-    st.live_slot = static_cast<int32_t>(slots_.size());
-    slots_.push_back(LifetimeSegment::Slot{.birth = when, .death = SimTime()});
+    st.birth = when;
+    st.bytes = 0;
     stats_.new_files += 1;
   }
 }
@@ -60,28 +63,14 @@ void LifetimeCollector::OnRecord(const TraceRecord& r) {
   switch (r.type) {
     case EventType::kCreate:
       // Re-creation completely overwrites the previous incarnation.
-      if (segment_mode_) {
-        SegmentEvent(r.file_id, r.time, /*creates=*/true);
-      } else {
-        Kill(r.file_id, r.time);
-        live_[r.file_id] = Incarnation{.birth = r.time, .bytes_written = 0};
-        stats_.new_files += 1;
-      }
+      Event(r.file_id, r.time, /*creates=*/true);
       break;
     case EventType::kUnlink:
-      if (segment_mode_) {
-        SegmentEvent(r.file_id, r.time, /*creates=*/false);
-      } else {
-        Kill(r.file_id, r.time);
-      }
+      Event(r.file_id, r.time, /*creates=*/false);
       break;
     case EventType::kTruncate:
       if (r.size == 0) {
-        if (segment_mode_) {
-          SegmentEvent(r.file_id, r.time, /*creates=*/false);
-        } else {
-          Kill(r.file_id, r.time);
-        }
+        Event(r.file_id, r.time, /*creates=*/false);
       }
       break;
     default:
@@ -93,37 +82,25 @@ void LifetimeCollector::OnTransfer(const Transfer& t) {
   if (t.direction != TransferDirection::kWrite) {
     return;
   }
-  if (!segment_mode_) {
-    auto it = live_.find(t.file_id);
-    if (it != live_.end()) {
-      it->second.bytes_written += t.length;
-    }
-    return;
-  }
-  auto it = seg_files_.find(t.file_id);
-  if (it == seg_files_.end()) {
+  FileState& st = State(t.file_id);
+  if (st.live) {
+    st.bytes += t.length;
+  } else if (!st.has_event) {
     // Nothing local yet: the bytes belong to a possible carried incarnation.
-    seg_files_[t.file_id].pre_bytes += t.length;
-    return;
+    st.pre_bytes += t.length;
   }
-  if (it->second.live_slot >= 0) {
-    slots_[static_cast<size_t>(it->second.live_slot)].bytes += t.length;
-  } else if (!it->second.has_event) {
-    it->second.pre_bytes += t.length;
-  }
-  // else: dead zone — a kill already happened and nothing is live; dropped,
-  // exactly as the streaming collector drops bytes to a non-live file.
+  // else: dead zone — a kill already happened and nothing is live, so the
+  // bytes belong to no incarnation and are dropped.
 }
 
 LifetimeOrphanTag LifetimeCollector::TagOrphanTransfer(FileId file) {
   LifetimeOrphanTag tag;
-  FileSegState& st = seg_files_[file];
-  if (st.live_slot >= 0) {
-    tag.zone = LifetimeOrphanTag::Zone::kSlot;
-    tag.slot = static_cast<uint32_t>(st.live_slot);
-    slots_[static_cast<size_t>(st.live_slot)].marked = true;
-  } else if (!st.has_event) {
+  FileState& st = State(file);
+  if (!st.has_event) {
     tag.zone = LifetimeOrphanTag::Zone::kPre;
+  } else if (st.live) {
+    tag.zone = LifetimeOrphanTag::Zone::kSlot;
+    tag.slot = SlotOf(st);
   } else {
     tag.zone = LifetimeOrphanTag::Zone::kDead;
   }
@@ -132,24 +109,30 @@ LifetimeOrphanTag LifetimeCollector::TagOrphanTransfer(FileId file) {
 
 LifetimeSegment LifetimeCollector::TakeSegment() {
   LifetimeSegment segment;
-  segment.slots = std::move(slots_);
-  segment.files.reserve(seg_files_.size());
-  for (const auto& [file, st] : seg_files_) {
-    // Files with no boundary-relevant state need no hand-off.
-    if (st.pre_bytes == 0 && !st.has_event && st.live_slot < 0) {
-      continue;
+  auto hand_off = [&](FileId file, FileState& st) {
+    // Files with no boundary-relevant state need no hand-off; a live
+    // incarnation always follows an event.
+    if (st.pre_bytes == 0 && !st.has_event) {
+      return;
+    }
+    int32_t exit_slot = -1;
+    if (st.live) {
+      exit_slot = static_cast<int32_t>(SlotOf(st));
+      slots_[static_cast<size_t>(exit_slot)].bytes = st.bytes;
     }
     segment.files.push_back(LifetimeSegment::FileBoundary{
         .file = file,
         .pre_bytes = st.pre_bytes,
         .has_event = st.has_event,
         .first_event_time = st.first_event_time,
-        .exit_slot = st.live_slot,
+        .exit_slot = exit_slot,
     });
+  };
+  files_.ForEach(hand_off);
+  if (invalid_file_.has_value()) {
+    hand_off(kInvalidFileId, *invalid_file_);
   }
-  std::sort(segment.files.begin(), segment.files.end(),
-            [](const LifetimeSegment::FileBoundary& a,
-               const LifetimeSegment::FileBoundary& b) { return a.file < b.file; });
+  segment.slots = std::move(slots_);
   segment.local = std::move(stats_);
   return segment;
 }

@@ -10,23 +10,27 @@
 // Two weightings are reported: by number of files (Fig. 4a) and by bytes
 // written to the new file during its life (Fig. 4b).
 //
-// Segment mode (parallel analysis) handles incarnations that straddle
-// segment boundaries.  Per file the worker tracks three zones: bytes written
-// before its first birth-or-death event (they belong to an incarnation born
-// in an earlier segment), locally born incarnations ("slots"), and the dead
-// zone after a kill with nothing live.  Slots whose lifetime completes
-// locally emit their sample immediately — unless an orphan record (a close
-// or seek whose open straddles the boundary) was tagged against them, in
-// which case the sample is deferred until the stitcher has replayed the
-// orphan and knows the slot's final byte count.
+// The collector runs over one segment of the trace (a serial analysis is a
+// single segment) and handles incarnations that straddle segment
+// boundaries.  Per file it tracks three zones: bytes written before its
+// first birth-or-death event (they belong to an incarnation born in an
+// earlier segment), the locally born incarnation, and the dead zone after a
+// kill with nothing live.  An incarnation whose lifetime completes locally
+// emits its sample at once, unless an orphan record (a close or seek whose
+// open straddles the boundary) was tagged against it: then it becomes a
+// "slot", and its sample waits until the stitcher has replayed the orphan
+// and knows the final byte count.  An incarnation still live at the
+// segment's end becomes a slot too, for the stitcher to carry.
 
 #ifndef BSDTRACE_SRC_ANALYSIS_LIFETIMES_H_
 #define BSDTRACE_SRC_ANALYSIS_LIFETIMES_H_
 
-#include <unordered_map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/trace/reconstruct.h"
+#include "src/util/flat_map.h"
 #include "src/util/stats.h"
 
 namespace bsdtrace {
@@ -44,9 +48,9 @@ struct LifetimeStats {
   double FileFractionIn(double lo_seconds, double hi_seconds) const;
 
   // Absorbs another segment's samples and counters (parallel reduction).
-  void Merge(const LifetimeStats& other) {
-    by_files.Merge(other.by_files);
-    by_bytes.Merge(other.by_bytes);
+  void Merge(LifetimeStats&& other) {
+    by_files.Merge(std::move(other.by_files));
+    by_bytes.Merge(std::move(other.by_bytes));
     new_files += other.new_files;
     observed_deaths += other.observed_deaths;
   }
@@ -66,18 +70,18 @@ struct LifetimeOrphanTag {
 
 // One segment's lifetime hand-off to the stitcher.
 struct LifetimeSegment {
-  // A locally born incarnation.  `dead` slots completed locally; a slot that
-  // is both dead and marked had its sample deferred (stitch bytes pending).
-  // Live slots at segment end are reachable via FileBoundary::exit_slot.
+  // A locally born incarnation that an orphan tag marked or that is still
+  // live at segment end.  A `dead` slot completed locally with its sample
+  // deferred (stitch bytes pending); a live one is reachable via
+  // FileBoundary::exit_slot.
   struct Slot {
     SimTime birth;
     SimTime death;
     uint64_t bytes = 0;
     bool dead = false;
-    bool marked = false;  // an orphan tag references this slot
   };
 
-  // Per-file boundary summary, in file-id order.
+  // Per-file boundary summary, in no particular order.
   struct FileBoundary {
     FileId file = kInvalidFileId;
     // Bytes written before the first local event (carried incarnation).
@@ -98,43 +102,42 @@ struct LifetimeSegment {
 
 class LifetimeCollector : public ReconstructionSink {
  public:
-  explicit LifetimeCollector(bool segment_mode = false);
-
   void OnRecord(const TraceRecord& record) override;
   void OnTransfer(const Transfer& transfer) override;
 
-  LifetimeStats Take() { return std::move(stats_); }
-
-  // Segment mode: the zone a (future) write transfer to `file` lands in at
-  // the current scan position.  Marks the slot when it returns kSlot, which
-  // defers that slot's sample to the stitcher.
+  // The zone a (future) write transfer to `file` lands in at the current
+  // scan position.  When it returns kSlot, the live incarnation becomes a
+  // slot and its sample is deferred to the stitcher.
   LifetimeOrphanTag TagOrphanTransfer(FileId file);
-  // Segment-mode result (collector may not be reused).
+  // The segment's result (collector may not be reused).
   LifetimeSegment TakeSegment();
 
  private:
-  struct Incarnation {
-    SimTime birth;
-    uint64_t bytes_written = 0;
-  };
-  // Segment-mode per-file state (see file comment).
-  struct FileSegState {
+  // Per-file state (see file comment).
+  struct FileState {
     uint64_t pre_bytes = 0;
-    bool has_event = false;
     SimTime first_event_time;
-    int32_t live_slot = -1;
+    SimTime birth;       // of the live incarnation
+    uint64_t bytes = 0;  // written to the live incarnation
+    int32_t slot = -1;   // the live incarnation's slot, once it has one
+    bool has_event = false;
+    bool live = false;
   };
 
-  void Kill(FileId file, SimTime when);
-  // Segment mode: a birth-or-death event for `file`; completes the live slot
-  // (or records the boundary kill) and opens a new slot when `creates`.
-  void SegmentEvent(FileId file, SimTime when, bool creates);
+  // The state of `file`, empty when first seen.
+  FileState& State(FileId file);
+  // The live incarnation's slot, made on first use.
+  uint32_t SlotOf(FileState& st);
+  // A birth-or-death event for `file`: completes the live incarnation (or
+  // records the boundary kill) and begins a new one when `creates`.
+  void Event(FileId file, SimTime when, bool creates);
 
-  bool segment_mode_;
-  std::unordered_map<FileId, Incarnation> live_;
-  LifetimeStats stats_;
-  std::unordered_map<FileId, FileSegState> seg_files_;
+  FlatMap<FileId, FileState, IdHash> files_{kInvalidFileId};
+  // kInvalidFileId is the map's empty key, yet a malformed trace may still
+  // carry it; that file's state is kept here.
+  std::optional<FileState> invalid_file_;
   std::vector<LifetimeSegment::Slot> slots_;
+  LifetimeStats stats_;
 };
 
 }  // namespace bsdtrace

@@ -1,10 +1,11 @@
 #include "src/analysis/overall.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace bsdtrace {
 
-void OverallStats::Merge(const OverallStats& other) {
+void OverallStats::Merge(OverallStats&& other) {
   duration = std::max(duration, other.duration);
   total_records += other.total_records;
   for (size_t i = 0; i < count_by_type.size(); ++i) {
@@ -13,7 +14,7 @@ void OverallStats::Merge(const OverallStats& other) {
   bytes_transferred += other.bytes_transferred;
   bytes_read += other.bytes_read;
   bytes_written += other.bytes_written;
-  inter_event_interval_seconds.Merge(other.inter_event_interval_seconds);
+  inter_event_interval_seconds.Merge(std::move(other.inter_event_interval_seconds));
 }
 
 void OverallStats::AddTransfer(const Transfer& t) {

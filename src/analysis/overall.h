@@ -39,7 +39,7 @@ struct OverallStats {
   void AddTransfer(const Transfer& transfer);
   // Absorbs another segment's statistics (parallel reduction): counters sum,
   // duration takes the max, the interval CDF takes the union of samples.
-  void Merge(const OverallStats& other);
+  void Merge(OverallStats&& other);
 };
 
 // Streaming collector; feed it through AccessReconstructor.

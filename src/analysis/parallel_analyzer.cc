@@ -65,7 +65,7 @@ StatusOr<TraceAnalysis> SegmentedAnalyze(const SeekableTraceSource& seekable,
       threads <= 1 ? std::vector<std::pair<size_t, size_t>>{}
                    : CarveIndex(index, threads, kMinSegmentRecords);
   if (ranges.size() < 2) {
-    // Not worth segmenting: run — and report — the serial streaming pass.
+    // Not worth segmenting: run — and report — the serial engine.
     TraceFileSource source(seekable.path());
     return SerialAnalyze(source);
   }

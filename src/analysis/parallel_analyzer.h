@@ -4,14 +4,14 @@
 // contiguous segment per worker.  Each worker runs the full collector set
 // over its segment in isolation (SegmentCollector), and a serial stitch pass
 // (SegmentStitcher) walks the segments in time order, replaying boundary
-// orphans and merging the partials — see segment_stitcher.h, which both
-// this engine and the rolling live analyzer share.
+// orphans and merging the partials — see segment_stitcher.h, which this
+// engine shares with the serial and the rolling live analyzers.
 //
-// The result is bit-identical to the serial analyzer: every counter is
-// exact integer arithmetic, every CDF is canonicalized over its sample
-// multiset (WeightedCdf), and the one order-sensitive reduction — Table IV's
-// Welford accumulators — is rebuilt by replaying the merged per-interval
-// summaries in exactly the serial visit order (ActivitySegment::Finalize).
+// The result is bit-identical to the serial (one-segment) analysis: every
+// counter is exact integer arithmetic, every CDF is canonicalized over its
+// sample multiset (WeightedCdf), and the one order-sensitive reduction —
+// Table IV's Welford accumulators — is rebuilt by replaying the merged
+// per-interval summaries in interval order (ActivitySegment::Finalize).
 
 #ifndef BSDTRACE_SRC_ANALYSIS_PARALLEL_ANALYZER_H_
 #define BSDTRACE_SRC_ANALYSIS_PARALLEL_ANALYZER_H_
@@ -40,10 +40,10 @@ std::vector<std::pair<size_t, size_t>> CarveIndex(
     const std::vector<TraceBlockIndexEntry>& index, unsigned threads, uint64_t min_records);
 
 // The segmented engine behind Analyze() for indexed on-disk traces.  Falls
-// back to the serial streaming pass — same results by construction — when
-// threads <= 1, the file has no block index (v1/v2, or v3/v4 written
-// without one), or the index holds too few records to be worth splitting;
-// the analysis reports which engine actually ran (TraceAnalysis::mode).
+// back to the serial engine, one segment, when threads <= 1, the file has
+// no block index (v1/v2, or v3/v4 written without one), or the index holds
+// too few records to be worth splitting; the analysis reports which engine
+// actually ran (TraceAnalysis::mode).
 StatusOr<TraceAnalysis> SegmentedAnalyze(const SeekableTraceSource& seekable,
                                          unsigned threads);
 

@@ -4,6 +4,8 @@
 #ifndef BSDTRACE_SRC_ANALYSIS_PATTERNS_H_
 #define BSDTRACE_SRC_ANALYSIS_PATTERNS_H_
 
+#include <utility>
+
 #include "src/trace/reconstruct.h"
 #include "src/util/stats.h"
 
@@ -18,9 +20,9 @@ struct RunLengthStats {
 
   // The run one transfer contributes.
   void Add(const Transfer& transfer);
-  void Merge(const RunLengthStats& other) {
-    by_runs.Merge(other.by_runs);
-    by_bytes.Merge(other.by_bytes);
+  void Merge(RunLengthStats&& other) {
+    by_runs.Merge(std::move(other.by_runs));
+    by_bytes.Merge(std::move(other.by_bytes));
   }
 };
 
@@ -33,9 +35,9 @@ struct FileSizeStats {
 
   // The size at close of one completed access.
   void Add(const AccessSummary& access);
-  void Merge(const FileSizeStats& other) {
-    by_accesses.Merge(other.by_accesses);
-    by_bytes.Merge(other.by_bytes);
+  void Merge(FileSizeStats&& other) {
+    by_accesses.Merge(std::move(other.by_accesses));
+    by_bytes.Merge(std::move(other.by_bytes));
   }
 };
 
@@ -45,7 +47,7 @@ struct OpenTimeStats {
 
   // How long one completed access stayed open.
   void Add(const AccessSummary& access);
-  void Merge(const OpenTimeStats& other) { seconds.Merge(other.seconds); }
+  void Merge(OpenTimeStats&& other) { seconds.Merge(std::move(other.seconds)); }
 };
 
 class PatternsCollector : public ReconstructionSink {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace bsdtrace {
 
@@ -22,12 +23,12 @@ void FoldDay(const UserInterval& day, std::optional<int64_t>* prev, RunningStats
 
 }  // namespace
 
-void PerUserSegment::Merge(const PerUserSegment& other) {
+void PerUserSegment::Merge(PerUserSegment&& other) {
   assert(!other.last_folded_day.has_value());
   users = MergeById(users, other.users, [](const PerUserTotals& a, const PerUserTotals& b) {
     return PerUserTotals{.records = a.records + b.records, .bytes = a.bytes + b.bytes};
   });
-  MergeIntervals(&daily_active, other.daily_active);
+  MergeIntervals(&daily_active, std::move(other.daily_active));
   last_time = std::max(last_time, other.last_time);
 }
 
@@ -63,9 +64,6 @@ PerUserActivityStats PerUserSegment::Finalize() const {
 
 // -- PerUserActivityCollector -------------------------------------------------
 
-PerUserActivityCollector::PerUserActivityCollector(bool segment_mode)
-    : segment_mode_(segment_mode) {}
-
 void PerUserActivityCollector::CloseDay() {
   UserInterval closed = days_.Close(users_.ids());
   if (!closed.active.empty()) {
@@ -93,20 +91,15 @@ void PerUserActivityCollector::Touch(SimTime t, UserId user, uint64_t records,
 }
 
 void PerUserActivityCollector::OnRecord(const TraceRecord& r) {
-  // Segment mode: a close/seek whose open lies before this segment has no
-  // user here; the stitcher replays the record with the carried open's user.
   UserId user;
-  if (!open_users_.UserOf(r, &user) && segment_mode_) {
-    return;
+  if (open_users_.UserOf(r, &user)) {
+    Touch(r.time, user, /*records=*/1, /*bytes=*/0);
   }
-  Touch(r.time, user, /*records=*/1, /*bytes=*/0);
 }
 
 void PerUserActivityCollector::OnTransfer(const Transfer& t) {
   Touch(t.time, t.user_id, /*records=*/0, t.length);
 }
-
-PerUserActivityStats PerUserActivityCollector::Take() { return TakeSegment().Finalize(); }
 
 PerUserSegment PerUserActivityCollector::TakeSegment() {
   CloseDay();

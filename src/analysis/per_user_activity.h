@@ -12,13 +12,13 @@
 // (workload/fleet.h) are validated: a 1000-user A5 must keep the same
 // per-user activity as the paper's 90-user A5.
 //
-// Like the Table IV collector (activity.h) this runs in two modes, and both
-// accumulate the same order-free integer summary (PerUserSegment).  Users
-// are interned into dense slots (user_slots.h) that hold their totals; a
-// one-day UserWindow records which users were active on each day.  The
-// summary lists users and each day's active users in ascending id order, so
-// segments merge by a sorted-vector sum/union and the parallel analyzer
-// reproduces the serial results bit for bit.
+// Like the Table IV collector (activity.h) this collects one segment of the
+// trace into an order-free integer summary (PerUserSegment).  Users are
+// interned into dense slots (user_slots.h) that hold their totals; a one-day
+// UserWindow records which users were active on each day.  The summary lists
+// users and each day's active users in ascending id order, so segments merge
+// by a sorted-vector sum/union and every way of cutting the trace gives the
+// same results bit for bit.
 
 #ifndef BSDTRACE_SRC_ANALYSIS_PER_USER_ACTIVITY_H_
 #define BSDTRACE_SRC_ANALYSIS_PER_USER_ACTIVITY_H_
@@ -77,34 +77,30 @@ struct PerUserSegment {
   SimTime last_time;
 
   // Other must have folded no day.
-  void Merge(const PerUserSegment& other);
+  void Merge(PerUserSegment&& other);
   // Folds and frees the days before the one holding `frontier`: the caller
   // promises every later touch is at or after it.
   void FoldBefore(SimTime frontier);
   PerUserActivityStats Finalize() const;
 };
 
+// Collects one segment's PerUserSegment.  A close or seek whose open lies
+// outside the segment is skipped (the stitcher replays it with the carried
+// open's user), the same contract as ActivityCollector.
 class PerUserActivityCollector : public ReconstructionSink {
  public:
-  // segment_mode: skip close/seek records whose open lies outside this
-  // segment (their user is unknown here; the stitcher replays them with the
-  // carried open's user) — the same contract as ActivityCollector.
-  explicit PerUserActivityCollector(bool segment_mode = false);
-
   void OnRecord(const TraceRecord& record) override;
   void OnTransfer(const Transfer& transfer) override;
   // Attributes `records` and `bytes` to `user` at `t`: the stitcher's replay
   // of a record whose user only the carried open knows.
   void Touch(SimTime t, UserId user, uint64_t records, uint64_t bytes);
 
-  PerUserActivityStats Take();
-  // Segment-mode result (collector may not be reused).
+  // The segment's result (collector may not be reused).
   PerUserSegment TakeSegment();
 
  private:
   void CloseDay();
 
-  bool segment_mode_;
   UserSlots users_;
   std::vector<PerUserTotals> totals_;  // by slot
   OpenUsers open_users_;

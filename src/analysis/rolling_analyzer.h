@@ -4,7 +4,7 @@
 //
 // Implementation is the segment/stitch machinery shared with the parallel
 // analyzer (segment_stitcher.h): the stream is cut into one segment per
-// interval, each segment runs the segment-mode collector set, and an
+// interval, each segment runs the collector set, and an
 // incremental stitcher absorbs segments as their boundary passes.  A
 // snapshot is the stitcher's finalized prefix state, so it is bit-identical
 // to a batch Analyze of exactly the records before the boundary — the

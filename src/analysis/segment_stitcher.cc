@@ -6,52 +6,38 @@
 
 namespace bsdtrace {
 
-// Fans reconstruction callbacks out to the segment's collectors (the same
-// shape as the serial analyzer's mux).
-class SegmentCollector::Mux : public ReconstructionSink {
- public:
-  Mux(std::initializer_list<ReconstructionSink*> sinks) : sinks_(sinks) {}
+SegmentCollector::SegmentCollector() : reconstructor_(this) {}
 
-  void OnTransfer(const Transfer& t) override {
-    for (ReconstructionSink* s : sinks_) {
-      s->OnTransfer(t);
-    }
-  }
-  void OnAccess(const AccessSummary& a) override {
-    for (ReconstructionSink* s : sinks_) {
-      s->OnAccess(a);
-    }
-  }
-  void OnRecord(const TraceRecord& r) override {
-    for (ReconstructionSink* s : sinks_) {
-      s->OnRecord(r);
-    }
-  }
+void SegmentCollector::OnTransfer(const Transfer& t) {
+  overall_.OnTransfer(t);
+  activity_.OnTransfer(t);
+  per_user_.OnTransfer(t);
+  patterns_.OnTransfer(t);
+  lifetimes_.OnTransfer(t);
+}
 
- private:
-  std::vector<ReconstructionSink*> sinks_;
-};
+void SegmentCollector::OnAccess(const AccessSummary& a) {
+  sequentiality_.OnAccess(a);
+  patterns_.OnAccess(a);
+}
 
-SegmentCollector::SegmentCollector()
-    : activity_(/*segment_mode=*/true),
-      per_user_(/*segment_mode=*/true),
-      lifetimes_(/*segment_mode=*/true),
-      mux_(new Mux{&overall_, &activity_, &per_user_, &sequentiality_, &patterns_,
-                   &lifetimes_}),
-      reconstructor_(new AccessReconstructor(mux_.get())) {}
-
-SegmentCollector::~SegmentCollector() = default;
+void SegmentCollector::OnRecord(const TraceRecord& r) {
+  overall_.OnRecord(r);
+  activity_.OnRecord(r);
+  per_user_.OnRecord(r);
+  lifetimes_.OnRecord(r);
+}
 
 void SegmentCollector::Process(const TraceRecord& record) {
-  reconstructor_->Process(record);
-  if (reconstructor_->orphan_events() != orphans_seen_) {
-    orphans_seen_ = reconstructor_->orphan_events();
+  reconstructor_.Process(record);
+  if (reconstructor_.orphan_events() != orphans_seen_) {
+    orphans_seen_ = reconstructor_.orphan_events();
     seg_.orphans.push_back(OrphanRecord{record, lifetimes_.TagOrphanTransfer(record.file_id)});
   }
 }
 
 SegmentResult SegmentCollector::Take() {
-  seg_.open_states = reconstructor_->TakeOpenStates();
+  seg_.open_states = reconstructor_.TakeOpenStates();
   seg_.overall = overall_.Take();
   seg_.pending_last_events = overall_.TakePendingLastEvents();
   seg_.activity = activity_.TakeSegment();
@@ -179,8 +165,8 @@ struct SegmentStitcher::Impl {
 };
 
 void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
-  ActivityCollector orphan_activity(/*segment_mode=*/true);
-  PerUserActivityCollector orphan_per_user(/*segment_mode=*/true);
+  ActivityCollector orphan_activity;
+  PerUserActivityCollector orphan_per_user;
   sink.set_segment(&seg.lifetimes, &orphan_activity, &orphan_per_user);
   // 1. Replay the records whose open lies in an earlier segment.  The
   // carried reconstructor emits their transfers and access summaries; the
@@ -217,8 +203,8 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
 
   // 3. Lifetime boundary processing (orphan bytes are already routed).
   // Pre-event bytes feed the carried incarnation; the segment's first
-  // birth-or-death event kills it; marked completed slots emit now that
-  // their byte counts are final; exit-live slots become carried.
+  // birth-or-death event kills it; completed slots emit now that their byte
+  // counts are final; exit-live slots become carried.
   for (const LifetimeSegment::FileBoundary& fb : seg.lifetimes.files) {
     auto it = carried_live.find(fb.file);
     if (it != carried_live.end()) {
@@ -236,20 +222,22 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
     }
   }
   for (const LifetimeSegment::Slot& slot : seg.lifetimes.slots) {
-    if (slot.dead && slot.marked) {
+    if (slot.dead) {
       EmitLifetimeSample(&published.lifetimes, slot.birth, slot.death, slot.bytes);
     }
   }
 
   // 4. Merge the order-free partials.
-  published.overall.Merge(seg.overall);
-  activity.Merge(seg.activity);
-  per_user.Merge(seg.per_user);
+  // The CDFs move: an empty published analysis (a serial run's only
+  // segment) adopts the samples instead of holding them twice.
+  published.overall.Merge(std::move(seg.overall));
+  activity.Merge(std::move(seg.activity));
+  per_user.Merge(std::move(seg.per_user));
   published.sequentiality.Merge(seg.sequentiality);
-  published.runs.Merge(seg.runs);
-  published.file_sizes.Merge(seg.file_sizes);
-  published.open_times.Merge(seg.open_times);
-  published.lifetimes.Merge(seg.lifetimes.local);
+  published.runs.Merge(std::move(seg.runs));
+  published.file_sizes.Merge(std::move(seg.file_sizes));
+  published.open_times.Merge(std::move(seg.open_times));
+  published.lifetimes.Merge(std::move(seg.lifetimes.local));
   ++segments;
 
   // 5. In a time-ordered stream every later record, and every orphan a
@@ -261,8 +249,7 @@ void SegmentStitcher::Impl::Add(SegmentResult&& seg) {
 
 // The one finalization behind Snapshot and Finish.  Incarnations still live,
 // opens still pending, and inter-event samples still straddling are
-// right-censored and dropped, exactly as the streaming collector treats end
-// of trace — which is what makes a boundary snapshot bit-identical to a
+// right-censored and dropped, as at the end of a trace — which is what makes a boundary snapshot bit-identical to a
 // batch analysis of the prefix.  Costs the open intervals and the user
 // count, not the prefix.
 void SegmentStitcher::Impl::Finalize() {

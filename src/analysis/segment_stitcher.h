@@ -1,4 +1,4 @@
-// The segment/stitch machinery behind every non-serial Section-5 analysis.
+// The segment/stitch machinery behind every Section-5 analysis.
 //
 // A trace can be split at ANY record boundary into contiguous, time-ordered
 // segments; the split is an execution detail, never a semantic one.  Each
@@ -9,7 +9,9 @@
 // the segments in time order, replaying each segment's orphans against the
 // open state carried from earlier segments and merging the partials.
 //
-// Two consumers drive it:
+// Three consumers drive it, differing only in where the segments are cut:
+//   * Serial analysis runs the whole stream as one segment and stitches it
+//     alone (analyzer.cc).
 //   * Analyze's parallel engine carves an on-disk trace into per-worker segments
 //     and stitches them after the workers join (parallel_analyzer.cc).
 //   * RollingAnalyzer closes one segment per simulated hour of a LIVE stream
@@ -18,9 +20,9 @@
 //     A snapshot costs the segment just added plus the open intervals, not
 //     the prefix: the stitcher keeps the finalized prefix state itself.
 //
-// Invariant, inherited from the parallel analyzer's parity gate: after
-// stitching segments 1..k the finalized result is bit-identical to the
-// serial streaming analyzer run over exactly those segments' records.
+// Invariant, guarded by the parity and golden tests: after stitching
+// segments 1..k the finalized result is bit-identical to a one-segment
+// analysis of exactly those segments' records, however they were cut.
 
 #ifndef BSDTRACE_SRC_ANALYSIS_SEGMENT_STITCHER_H_
 #define BSDTRACE_SRC_ANALYSIS_SEGMENT_STITCHER_H_
@@ -66,14 +68,14 @@ struct SegmentResult {
   LifetimeSegment lifetimes;
 };
 
-// Push-side collector for one segment: the segment-mode collector set, the
-// fan-out mux, and the orphan detector, fed one record at a time.  The
-// parallel workers drain a cursor through it; the rolling analyzer pushes
-// live records into it.
-class SegmentCollector {
+// Push-side collector for one segment: the collector set and the orphan
+// detector, fed one record at a time.  Serial analysis and the parallel
+// workers drain a source through it; the rolling analyzer pushes live
+// records into it.  It is itself the reconstructor's sink and fans each
+// callback out to the collectors with direct, not virtual, calls.
+class SegmentCollector : private ReconstructionSink {
  public:
   SegmentCollector();
-  ~SegmentCollector();
 
   // Records must arrive in non-decreasing time order.
   void Process(const TraceRecord& record);
@@ -82,7 +84,9 @@ class SegmentCollector {
   SegmentResult Take();
 
  private:
-  class Mux;
+  void OnTransfer(const Transfer& t) override;
+  void OnAccess(const AccessSummary& a) override;
+  void OnRecord(const TraceRecord& r) override;
 
   OverallStatsCollector overall_;
   ActivityCollector activity_;
@@ -90,14 +94,14 @@ class SegmentCollector {
   SequentialityCollector sequentiality_;
   PatternsCollector patterns_;
   LifetimeCollector lifetimes_;
-  std::unique_ptr<Mux> mux_;
-  std::unique_ptr<AccessReconstructor> reconstructor_;
+  AccessReconstructor reconstructor_;
   SegmentResult seg_;
   uint64_t orphans_seen_ = 0;
 };
 
-// Runs a whole TraceSource (e.g. one parallel worker's block-range cursor)
-// through a SegmentCollector.  Source errors surface in SegmentResult::status.
+// Runs a whole TraceSource (a serial analysis's input, or one parallel
+// worker's block-range cursor) through a SegmentCollector.  Source errors
+// surface in SegmentResult::status.
 SegmentResult RunSegment(TraceSource& cursor);
 
 // Order-dependent serial reduction over segments.  Add() absorbs segments in
@@ -106,11 +110,10 @@ SegmentResult RunSegment(TraceSource& cursor);
 // into it, and the Table IV and Table I intervals no later record can reach
 // are folded once and freed.  Snapshot() refreshes what still depends on the
 // open tail (pending opens, live incarnations, and straddling inter-event
-// samples are right-censored exactly as the serial analyzer censors them at
-// end of trace) and returns the stitcher-owned analysis, in O(open intervals
-// + users) rather than O(prefix); Finish() finalizes the same way and moves
-// it out.  Not copyable: the stitch owns a reconstructor wired to internal
-// sinks.
+// samples are right-censored, as at the end of a trace) and returns the
+// stitcher-owned analysis, in O(open intervals + users) rather than
+// O(prefix); Finish() finalizes the same way and moves it out.  Not
+// copyable: the stitch owns a reconstructor wired to internal sinks.
 class SegmentStitcher {
  public:
   SegmentStitcher();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <utility>
 
 namespace bsdtrace {
 
@@ -21,7 +22,11 @@ void UniteInterval(UserInterval* into, const UserInterval& from) {
 
 }  // namespace
 
-void MergeIntervals(std::vector<UserInterval>* ours, const std::vector<UserInterval>& theirs) {
+void MergeIntervals(std::vector<UserInterval>* ours, std::vector<UserInterval> theirs) {
+  if (ours->empty()) {
+    *ours = std::move(theirs);
+    return;
+  }
   if (theirs.empty()) {
     return;
   }
@@ -39,7 +44,7 @@ void MergeIntervals(std::vector<UserInterval>* ours, const std::vector<UserInter
     if (b == theirs.end() || (a != tail.end() && a->index < b->index)) {
       ours->push_back(std::move(*a++));
     } else if (a == tail.end() || b->index < a->index) {
-      ours->push_back(*b++);
+      ours->push_back(std::move(*b++));
     } else {
       UniteInterval(&*a, *b++);
       ours->push_back(std::move(*a++));
@@ -54,7 +59,7 @@ void AppendInterval(std::vector<UserInterval>* list, UserInterval interval) {
   }
   std::vector<UserInterval> one;
   one.push_back(std::move(interval));
-  MergeIntervals(list, one);
+  MergeIntervals(list, std::move(one));
 }
 
 std::vector<UserId> UserSlots::SortedIds() const {

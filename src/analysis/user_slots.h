@@ -61,7 +61,7 @@ std::vector<std::pair<UserId, Value>> MergeById(const std::vector<std::pair<User
 
 // Unions `theirs` into `ours`; both ascend by index.  Intervals with the same
 // index merge: active users are united and bytes summed per user.
-void MergeIntervals(std::vector<UserInterval>* ours, const std::vector<UserInterval>& theirs);
+void MergeIntervals(std::vector<UserInterval>* ours, std::vector<UserInterval> theirs);
 
 // Adds one interval to an ascending list: appended when it lies past the
 // end (always, for time-ordered input), merged in place otherwise.

@@ -98,7 +98,7 @@ GenerationResult GenerateStandardTrace(const std::string& name) {
 
 StatusOr<TraceAnalysis> AnalyzeTraceFile(const std::string& path, unsigned threads) {
   // Analyze() resolves threads == 0 to hardware concurrency and falls back to
-  // the serial streaming pass on its own when the file has no usable block
+  // the serial (one-segment) pass on its own when the file has no usable block
   // index or threads <= 1; the result reports which engine ran (::mode).
   AnalyzeOptions options;
   options.path = path;

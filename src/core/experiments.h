@@ -36,7 +36,7 @@ GenerationResult GenerateStandardTrace(const std::string& name, Duration duratio
 // Analyzes a binary trace file without loading it into memory.  With more
 // than one thread and a v3 file carrying a block index, the segmented
 // parallel analyzer runs — bit-identical to the serial pass by construction;
-// v1/v2 (or index-less) files fall back to the serial streaming pass.
+// v1/v2 (or index-less) files fall back to the serial (one-segment) pass.
 // threads == 0 means hardware concurrency.
 StatusOr<TraceAnalysis> AnalyzeTraceFile(const std::string& path, unsigned threads = 0);
 

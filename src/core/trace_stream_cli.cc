@@ -1,5 +1,6 @@
 #include "src/core/trace_stream_cli.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
@@ -510,6 +511,17 @@ int CmdAnalyze(int argc, const char* const* argv) {
     if (!trace.ok()) {
       std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
                    trace.status().message().c_str());
+      return 1;
+    }
+    // File id 0 is the cache engines' empty key (and the file of BlockKey{}),
+    // so a sweep over it would silently differ; ValidateTrace rejects it.
+    const std::vector<TraceRecord>& records = trace.value().records();
+    const auto invalid = std::find_if(records.begin(), records.end(), [](const TraceRecord& r) {
+      return r.file_id == kInvalidFileId;
+    });
+    if (invalid != records.end()) {
+      std::fprintf(stderr, "cannot sweep %s: record %zu has the invalid file id 0\n",
+                   path.c_str(), static_cast<size_t>(invalid - records.begin()));
       return 1;
     }
     if (opt.sweep == "hier") {

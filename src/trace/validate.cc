@@ -73,6 +73,9 @@ ValidationResult ValidateTrace(const Trace& trace, const ValidateTraceOptions& o
       error("time moves backwards");
     }
     prev_time = r.time;
+    if (r.file_id == kInvalidFileId) {
+      error("invalid file id 0");
+    }
 
     switch (r.type) {
       case EventType::kOpen:

@@ -50,6 +50,7 @@ struct ValidateTraceOptions {
 //  * close/seek reference an id that is currently open — a never-opened or
 //    already-closed id is rejected, with the two cases distinguished in the
 //    message;
+//  * no record carries the invalid file id 0 (the cache engines' empty key);
 //  * seek/close carry the file id of the matching open;
 //  * access positions never move backward except via an explicit seek: a
 //    seek whose `from` is behind the tracked position (open position, or the

@@ -141,6 +141,16 @@ class FlatMap {
 
   Value& operator[](const Key& key) { return FindOrInsert(key, Value{}); }
 
+  // Calls fn(key, value) for every entry, in cell order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    for (Cell& cell : cells_) {
+      if (!(cell.key == empty_key_)) {
+        fn(cell.key, cell.value);
+      }
+    }
+  }
+
   // Removes `key` if present.  Backward-shift deletion: subsequent cells that
   // probed past the hole are moved back, so probe chains never break.
   bool Erase(const Key& key) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace bsdtrace {
 
@@ -63,6 +64,15 @@ void WeightedCdf::Merge(const WeightedCdf& other) {
   }
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
   sorted_ = false;
+}
+
+void WeightedCdf::Merge(WeightedCdf&& other) {
+  if (samples_.empty()) {
+    std::swap(*this, other);
+  } else {
+    Merge(other);
+  }
+  other = WeightedCdf();
 }
 
 void WeightedCdf::EnsureSorted() const {

@@ -81,6 +81,9 @@ class WeightedCdf {
 
   // Absorbs all of other's samples (parallel reduction).
   void Merge(const WeightedCdf& other);
+  // The same, leaving `other` empty: an empty receiver adopts other's
+  // samples instead of copying them.
+  void Merge(WeightedCdf&& other);
 
   int64_t sample_count() const { return static_cast<int64_t>(samples_.size()); }
   double total_weight() const;

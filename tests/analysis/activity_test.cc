@@ -2,16 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/analyze_helpers.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
 
-ActivityStats Analyze(const Trace& t) {
-  ActivityCollector collector;
-  Reconstruct(t, &collector);
-  return collector.Take();
-}
+ActivityStats Analyze(const Trace& t) { return AnalyzeForTest(t).activity; }
 
 TEST(ActivityStats, DistinctUsersCounted) {
   const Trace t = TraceBuilder()

@@ -7,7 +7,9 @@
 // analysis must each equal the model, which recomputes both collectors'
 // statistics with std::set/std::map straight from the paper's definitions.
 // A record far in the future (nothing bounds record times) must not make
-// any engine fill its empty intervals one at a time.
+// any engine fill its empty intervals one at a time.  The lifetime collector
+// gets the same treatment on file ids 0 and 2^64-1: 0 is the empty key of
+// its per-file map and must be held aside.
 
 #include <chrono>
 #include <map>
@@ -364,6 +366,105 @@ TEST(HostileTimestamps, FarRecordsAnalyzeFastAndIdentically) {
   EXPECT_EQ(rolling.snapshots_published(),
             static_cast<uint64_t>(SimTime::Max().micros() / Duration::Hours(1).micros()));
   EXPECT_TRUE(AnalysisBitIdentical(AnalyzeForTest(end_of_time), rolling.Finish()));
+}
+
+// -- Hostile file ids -----------------------------------------------------------
+
+constexpr FileId kHostileFiles[] = {kInvalidFileId, ~FileId{0}};
+
+// Per hour and per hostile file: a create with a 1000-byte write, killed by
+// a truncate to zero 600 s later; a write into the dead file (its bytes
+// belong to no incarnation); an unlink of the dead file; and a create at
+// minute 50 that writes 300 bytes, closes after the hour boundary with 200
+// more and is killed 700 s after its birth by the next hour's create.  The
+// last of those is still live at the end of the trace.
+Trace HostileFileTrace(int repetitions) {
+  TraceBuilder b;
+  OpenId next_open = 1;
+  OpenId carried[2] = {kInvalidOpenId, kInvalidOpenId};
+  for (int rep = 0; rep < repetitions; ++rep) {
+    const double t = rep * 3600.0;
+    for (int i = 0; i < 2; ++i) {
+      if (carried[i] != kInvalidOpenId) {
+        b.Close(t + 50, carried[i], kHostileFiles[i], 200, 300);
+      }
+    }
+    for (int i = 0; i < 2; ++i) {
+      const FileId f = kHostileFiles[i];
+      const OpenId born = next_open++;
+      const OpenId dead = next_open++;
+      b.Create(t + 100, born, f, AccessMode::kWriteOnly, /*user=*/5);
+      b.Close(t + 110, born, f, 1000, 1000);
+      b.Truncate(t + 700, f, 0, /*user=*/5);
+      b.Open(t + 710, dead, f, 0, AccessMode::kWriteOnly, /*user=*/5);
+      b.Close(t + 720, dead, f, 500, 500);
+      b.Unlink(t + 1000, f, /*user=*/5);
+    }
+    for (int i = 0; i < 2; ++i) {
+      carried[i] = next_open++;
+      b.Create(t + 3000, carried[i], kHostileFiles[i], AccessMode::kWriteOnly, /*user=*/5);
+      b.Seek(t + 3500, carried[i], kHostileFiles[i], 300, 0);
+    }
+  }
+  return b.Build();
+}
+
+void ExpectLifetimes(const TraceAnalysis& got, int repetitions, const std::string& engine) {
+  WeightedCdf by_files;
+  WeightedCdf by_bytes;
+  for (int i = 0; i < 2; ++i) {
+    for (int rep = 0; rep < repetitions; ++rep) {
+      by_files.Add(600.0);
+      by_bytes.Add(600.0, 1000.0);
+      if (rep > 0) {
+        by_files.Add(700.0);
+        by_bytes.Add(700.0, 500.0);
+      }
+    }
+  }
+  const auto reps = static_cast<uint64_t>(repetitions);
+  EXPECT_EQ(got.lifetimes.new_files, 2 * 2 * reps) << engine;
+  EXPECT_EQ(got.lifetimes.observed_deaths, 2 * (2 * reps - 1)) << engine;
+  EXPECT_EQ(got.lifetimes.by_files.sorted_samples(), by_files.sorted_samples()) << engine;
+  EXPECT_EQ(got.lifetimes.by_bytes.sorted_samples(), by_bytes.sorted_samples()) << engine;
+}
+
+// Every record its own segment: each straddle is seen from both sides.
+TEST(HostileFileIds, SegmentPerRecordSerialAndRollingMatchExpected) {
+  const int reps = 5;
+  const Trace trace = HostileFileTrace(reps);
+  SegmentStitcher stitcher;
+  for (const TraceRecord& r : trace.records()) {
+    SegmentCollector segment;
+    segment.Process(r);
+    stitcher.Add(segment.Take());
+  }
+  ExpectLifetimes(stitcher.Finish(), reps, "segment per record");
+  ExpectLifetimes(AnalyzeForTest(trace), reps, "serial");
+  ExpectLifetimes(Rolling(trace, Duration::Hours(1)), reps, "rolling hourly");
+  ExpectLifetimes(Rolling(trace, Duration::Seconds(1)), reps, "rolling per second");
+}
+
+TEST(HostileFileIds, ParallelMatchesExpected) {
+  // Enough records for four parallel segments of the minimum size.
+  const int reps = 2000;
+  const Trace trace = HostileFileTrace(reps);
+  ExpectLifetimes(AnalyzeForTest(trace), reps, "serial");
+  ExpectLifetimes(Rolling(trace, Duration::Minutes(7)), reps, "rolling");
+
+  const std::string path = TestTempPath("hostile_files.trc");
+  TraceWriterOptions writer;
+  writer.version = 3;
+  writer.block_target_bytes = 1024;
+  ASSERT_TRUE(SaveTrace(path, trace, writer).ok());
+  AnalyzeOptions options;
+  options.path = path;
+  options.threads = 4;
+  auto parallel = Analyze(options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().message();
+  EXPECT_EQ(parallel.value().mode, AnalyzeMode::kParallel);
+  EXPECT_EQ(parallel.value().segments_used, 4u);
+  ExpectLifetimes(parallel.value(), reps, "parallel");
 }
 
 }  // namespace

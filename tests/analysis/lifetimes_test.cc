@@ -2,16 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/analyze_helpers.h"
 #include "tests/testing/trace_builder.h"
 
 namespace bsdtrace {
 namespace {
 
-LifetimeStats Analyze(const Trace& t) {
-  LifetimeCollector collector;
-  Reconstruct(t, &collector);
-  return collector.Take();
-}
+LifetimeStats Analyze(const Trace& t) { return AnalyzeForTest(t).lifetimes; }
 
 TEST(Lifetimes, DeathByUnlink) {
   TraceBuilder b;

@@ -1,5 +1,5 @@
 // Parallel-analysis parity: Analyze() over a seekable path must reproduce
-// the serial streaming engine bit for bit — every counter, CDF sample, and
+// the serial (one-segment) analysis bit for bit — every counter, CDF sample, and
 // Welford accumulator — for hand-built boundary-straddling traces and for
 // the three standard generated workloads at 1, 2, and 8 threads.
 
@@ -20,7 +20,7 @@ namespace bsdtrace {
 namespace {
 
 // Saves as v3 with tiny blocks (many segment boundaries) and returns the
-// serial streaming analysis of the same file.
+// serial analysis of the same file.
 TraceAnalysis SaveAndAnalyzeSerial(const Trace& trace, const std::string& path,
                                    size_t block_target = 256) {
   TraceWriterOptions options;

@@ -51,9 +51,9 @@ TEST(PerUserActivity, AttributesClosesSeeksAndBytesToOpeningUser) {
 // -- Segment algebra ----------------------------------------------------------
 
 TEST(PerUserSegment, MergeMatchesSingleAccumulation) {
-  PerUserActivityCollector whole(/*segment_mode=*/true);
-  PerUserActivityCollector left(/*segment_mode=*/true);
-  PerUserActivityCollector right(/*segment_mode=*/true);
+  PerUserActivityCollector whole;
+  PerUserActivityCollector left;
+  PerUserActivityCollector right;
   const struct {
     double t;
     UserId user;
@@ -92,7 +92,7 @@ TEST(PerUserSegment, QuietDaysCountAsZeroActive) {
   PerUserActivityCollector collector;
   collector.Touch(SimTime::FromSeconds(100.0), 5, 1, 0);               // day 0
   collector.Touch(SimTime::FromSeconds(3 * 86400.0 + 100.0), 5, 1, 0);  // day 3
-  const PerUserActivityStats stats = collector.Take();
+  const PerUserActivityStats stats = collector.TakeSegment().Finalize();
   EXPECT_EQ(stats.active_users_per_day.count(), 4);  // days 0..3
   EXPECT_EQ(stats.active_users_per_day.sum(), 2.0);
   EXPECT_EQ(stats.active_users_per_day.min(), 0.0);

@@ -166,6 +166,25 @@ TEST(TraceStreamCli, SweepFig5PrintsTableAndCurves) {
   EXPECT_NE(text.find("parity ok"), std::string::npos) << text;
 }
 
+// A trace with file id 0 (written without validation) is refused by the
+// cache sweeps, whose maps use 0 as the empty key, with a clean error; the
+// Section-5 analysis still runs on it.
+TEST(TraceStreamCli, SweepRefusesFileIdZero) {
+  const std::string path = TestTempPath("cli_file0.trc");
+  TraceBuilder b;
+  b.WholeRead(1.0, 2.0, /*oid=*/1, /*file=*/5, /*size=*/8192);
+  b.WholeWrite(3.0, 4.0, /*oid=*/2, /*file=*/kInvalidFileId, /*size=*/4096);
+  ASSERT_TRUE(SaveTrace(path, b.Build()).ok());
+  for (const char* sweep : {"--sweep=fig5", "--sweep=hier"}) {
+    std::string err;
+    EXPECT_EQ(RunCaptured({"analyze", path, sweep}, &err), 1) << sweep;
+    EXPECT_NE(err.find("record 2 has the invalid file id 0"), std::string::npos) << err;
+  }
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(RunCli({"analyze", path}), 0);
+  ::testing::internal::GetCapturedStdout();
+}
+
 // --help output is generated from the one flag table: each subcommand lists
 // exactly its registered surface, with the value hints.
 TEST(TraceStreamCli, HelpListsPerSubcommandFlagsFromTheTable) {

@@ -96,6 +96,28 @@ TEST(TextTraceSource, TimeMovingBackwardsFailsWithLineNumber) {
   EXPECT_NE(source.status().message().find("backwards"), std::string::npos);
 }
 
+// File id 0 parses, but validation rejects it: it is the empty key of the
+// cache engines' maps, so a sweep would silently treat it apart.  File id 1
+// in the same place validates clean.
+TEST(TextTraceSource, FileIdZeroFailsValidation) {
+  for (const char* file : {"0", "1"}) {
+    std::istringstream in(std::string("0.000000\topen\toid=1\tfile=") + file +
+                          "\tuser=3\tmode=r\tsize=100\tpos=0\n"
+                          "1.000000\tclose\toid=1\tfile=" + file + "\tpos=100\tsize=100\n");
+    TextTraceSource source(in);
+    const Trace trace = Collect(source);
+    ASSERT_EQ(trace.size(), 2u);
+    const ValidationResult v = ValidateTrace(trace);
+    if (std::string(file) == "0") {
+      ASSERT_EQ(v.errors.size(), 2u) << v.Summary();
+      EXPECT_NE(v.errors[0].find("record 0: invalid file id 0"), std::string::npos)
+          << v.Summary();
+    } else {
+      EXPECT_TRUE(v.ok()) << v.Summary();
+    }
+  }
+}
+
 TEST(TextTraceSource, HeaderCommentsAfterFirstRecordAreIgnored) {
   std::istringstream in(
       "# machine first\n"

@@ -1,6 +1,7 @@
 #include "src/util/stats.h"
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,40 @@ TEST(WeightedCdf, EvaluateMatchesPointQueries) {
   EXPECT_NEAR(ys[1], 1.0 / 3, 1e-12);
   EXPECT_NEAR(ys[2], 2.0 / 3, 1e-12);
   EXPECT_EQ(ys[3], 1.0);
+}
+
+// Merging by move must equal merging by copy and leave the source empty,
+// whether the receiver adopts the samples (empty) or appends them.
+TEST(WeightedCdf, MoveMergeEqualsCopyMergeAndEmptiesSource) {
+  auto source = [] {
+    WeightedCdf cdf;
+    cdf.Add(3.0, 2.0);
+    cdf.Add(1.0);
+    cdf.Add(2.0, 0.5);
+    return cdf;
+  };
+  WeightedCdf non_empty;
+  non_empty.Add(2.0);
+  non_empty.Add(7.0, 3.0);
+  for (const WeightedCdf& receiver : {WeightedCdf(), non_empty}) {
+    WeightedCdf copied = receiver;
+    const WeightedCdf copy_source = source();
+    copied.Merge(copy_source);
+    WeightedCdf moved = receiver;
+    WeightedCdf from = source();
+    EXPECT_EQ(from.total_weight(), 3.5);  // sorts the source first
+    moved.Merge(std::move(from));
+    EXPECT_TRUE(from.empty());
+    EXPECT_EQ(from.sample_count(), 0);
+    EXPECT_EQ(from.total_weight(), 0.0);
+    EXPECT_EQ(moved.sorted_samples(), copied.sorted_samples());
+    EXPECT_EQ(moved.total_weight(), copied.total_weight());
+    // The merged distribution keeps working after further samples.
+    moved.Add(0.5);
+    copied.Add(0.5);
+    EXPECT_EQ(moved.FractionAtOrBelow(1.0), copied.FractionAtOrBelow(1.0));
+    EXPECT_EQ(moved.sorted_samples(), copied.sorted_samples());
+  }
 }
 
 TEST(Histogram, LinearBuckets) {
